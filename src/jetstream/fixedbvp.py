@@ -9,26 +9,41 @@ wall psi=m, phi < zeta, and Dirichlet data Q = A(c_e) on the free part of the
 top boundary and on the outlet column.
 
 Discretization: cell-centered finite-volume form of the 5-point scheme on a
-tensor grid, uniform in psi and piecewise-uniform in phi with zeta pinned to a
-node.  Boundary rows eliminate mirror ghosts through the flux faces, which
-keeps every row second-order accurate *and* keeps the Newton matrix a Z-matrix
-so an M-matrix certificate can be asserted at each factorization (a literal
-one-sided 3-point boundary row would put a wrong-signed entry in the matrix).
+tensor grid, uniform in psi; in phi the segments [0, zeta] and [zeta, xi] are
+uniform with zeta pinned to a node, except that when their spacings differ by
+more than a factor 2 the coarser one is graded geometrically away from zeta
+(neighbouring cells within a factor 1 + 8/n_phi, see ``build_grid``), which
+keeps the cell count at most 2 n_phi for every zeta.  Boundary rows eliminate
+mirror ghosts through the flux faces, which keeps the Newton matrix a
+Z-matrix so an M-matrix certificate can be asserted at each factorization (a
+literal one-sided 3-point boundary row would put a wrong-signed entry in the
+matrix).  On uniform cells every row is second-order accurate; on graded
+cells the leading truncation term of a row is proportional to h_E - h_W,
+which the ratio bound keeps O(h^2).  The observed order of the shot outlet
+potential xi is lower, set by the detachment-corner singularity rather than
+the grading: on the desk configuration at zeta = 0.01 zeta_hat over 64x32,
+128x64 and 256x128 cells it is 1.26, so not second order.
+
 The certificate is a weighted-column dominance test with weight
 w(phi) = xi + eps - phi: flux columns telescope to exact zero, the inlet
 columns absorb the Robin term iff R0 * min q(0, psi) >= xi (the coercivity
 margin sets eps), and columns adjacent to Dirichlet data stay strictly
-dominant, chaining the rest.
+dominant, chaining the rest.  The telescoping needs no uniform spacing: a
+phi-face of width h between nodes p and q adds dpsi/h (w_p - w_q) = +-dpsi to
+their two columns, because w is linear in phi, and the two faces of a column
+cancel; psi-faces join nodes of equal phi and so of equal weight.
 
-Newton iterates are clamped to [A(q_floor), A(c_e)] and damped by halving down
-to 2**-20.  Convergence is measured on the residual in PDE-density units
-(finite-volume row divided by its cell measure); the stated tolerance is
-floored by a per-grid roundoff estimate ~ eps * (|Q|/h^2 + |F|/k^2), the
-attainable level of that norm in double precision.
+Newton iterates are clamped to [A(q_floor), A(c_e)], q_floor from
+``newton_q_floor``, and damped by halving down to 2**-20.  Convergence is
+measured on the residual in PDE-density units (finite-volume row divided by
+its cell measure); the stated tolerance is floored by a per-grid roundoff
+estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable level of that norm in
+double precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +55,8 @@ from .gasdyn import (
     FlowConfig,
     GasModel,
     Q_FLOOR_FRAC,
+    derive_constants,
     flux_A,
-    _c_e_from_pressure,
 )
 
 
@@ -49,9 +64,11 @@ from .gasdyn import (
 class Grid:
     """Tensor grid in the potential-stream rectangle [0, xi] x [0, m].
 
-    phi_nodes is uniform on [0, zeta] and on [zeta, xi] separately with zeta
-    pinned at ``zeta_index``; psi_nodes is uniform.  zeta == xi (symmetric
-    geometry) puts zeta_index at the outlet column.
+    phi_nodes has zeta pinned at ``zeta_index``; each of [0, zeta] and
+    [zeta, xi] is uniform, or the coarser one is graded away from zeta when
+    uniform spacings would differ by more than a factor 2 (``build_grid``).
+    psi_nodes is uniform.  zeta == xi (symmetric geometry) puts zeta_index at
+    the outlet column.
     """
 
     zeta: float
@@ -95,6 +112,36 @@ class SolverOptions:
     picard_max: int = 80
 
 
+def _graded(
+    length: float, n_req: int, h0: float, ratio: float, max_cells: int
+) -> np.ndarray:
+    """Cell widths, summing to ``length``, for a segment graded away from a
+    first cell of width ``h0``.
+
+    Widths are min(h0 ratio^i, c): they grow geometrically until they reach a
+    common width c, then stay uniform.  The cell count is the smallest that
+    keeps c at or below the requested uniform width length / n_req, capped at
+    ``max_cells``; c is then set so the widths fill the segment exactly.
+    """
+    H = length / n_req
+    geo = h0 * ratio ** np.arange(max_cells)
+    k = int(np.count_nonzero(geo < H))
+    n = min(k + math.ceil((length - float(geo[:k].sum())) / H), max_cells)
+    geo = geo[:n]
+    # f(c) = sum(min(geo, c)) increases with c; on [geo[j-1], geo[j]] it is
+    # G_j + (n - j) c with G_j the sum of the first j widths.
+    G = np.concatenate([[0.0], np.cumsum(geo)[:-1]])
+    f_at = G + (n - np.arange(n)) * geo
+    j = int(np.searchsorted(f_at, length))
+    if j == n:
+        raise ConstraintError(
+            f"cannot grade a segment {length / h0:.3g} times its first cell "
+            f"in {max_cells} cells at ratio {ratio:.4g}; raise n_phi"
+        )
+    c = (length - float(G[j])) / (n - j)
+    return np.minimum(geo, c)
+
+
 def build_grid(
     zeta: float,
     xi: float,
@@ -106,10 +153,15 @@ def build_grid(
     """Construct the solver grid for a (zeta, xi) geometry.
 
     n_phi/n_psi are cell counts (node counts are one larger).  n_phi is split
-    between the two phi segments proportionally, each segment keeping at least
-    4 cells and the spacing ratio within [1/2, 2]; honoring those floors can
-    push the total cell count above n_phi.  ``phi_cap`` (R0 c_l when the
-    caller knows it) enforces the solvability bound xi <= phi_cap.
+    between the two phi segments proportionally, each segment keeping at
+    least 4 cells.  When the two uniform spacings are within a factor 2 of
+    each other, both segments stay uniform.  Otherwise the finer segment stays
+    uniform and the coarser one is graded away from zeta: its first cell is
+    twice the fine spacing, neighbouring cells differ by a ratio of at most
+    1 + 8/n_phi, and past the graded run the spacing is uniform again.  The
+    total cell count stays at most 2 n_phi however small zeta/xi or
+    1 - zeta/xi gets.  ``phi_cap`` (R0 c_l when the caller knows it) enforces
+    the solvability bound xi <= phi_cap.
     """
     if not zeta > 0.0:
         raise ConstraintError(f"need 0 < zeta, got zeta={zeta}")
@@ -128,19 +180,29 @@ def build_grid(
     n1 = int(round(n_phi * zeta / xi))
     n1 = min(max(n1, 4), n_phi - 4)
     n2 = n_phi - n1
-    # Bump a segment's count until the spacings differ by at most a factor 2.
-    while (zeta / n1) / ((xi - zeta) / n2) > 2.0:
-        n1 += 1
-    while ((xi - zeta) / n2) / (zeta / n1) > 2.0:
-        n2 += 1
-    left = np.linspace(0.0, zeta, n1 + 1)
-    right = np.linspace(zeta, xi, n2 + 1)
+    h1, h2 = zeta / n1, (xi - zeta) / n2
+    ratio = 1.0 + 8.0 / n_phi
+    if h2 / h1 > 2.0:
+        widths = _graded(xi - zeta, n2, 2.0 * h1, ratio, 2 * n_phi - n1)
+        right = zeta + np.concatenate([[0.0], np.cumsum(widths)])
+        right[-1] = xi
+        left = np.linspace(0.0, zeta, n1 + 1)
+    elif h1 / h2 > 2.0:
+        widths = _graded(zeta, n1, 2.0 * h2, ratio, 2 * n_phi - n2)
+        left = (zeta - np.concatenate([[0.0], np.cumsum(widths)]))[::-1]
+        left[0] = 0.0
+        right = np.linspace(zeta, xi, n2 + 1)
+    else:
+        left = np.linspace(0.0, zeta, n1 + 1)
+        right = np.linspace(zeta, xi, n2 + 1)
     phi_nodes = np.concatenate([left, right[1:]])
-    return Grid(zeta, xi, m, phi_nodes, psi_nodes, n1)
+    return Grid(zeta, xi, m, phi_nodes, psi_nodes, len(left) - 1)
 
 
-def _resolve_c_e(gas: GasModel, cfg: FlowConfig) -> float:
-    return cfg.c_e if cfg.c_e is not None else _c_e_from_pressure(gas, cfg.P_e)
+def newton_q_floor(gas: GasModel, c_l: float) -> float:
+    """Lowest speed a Newton iterate is clamped to: half the minimal
+    admissible speed c_l, never below the flux tables' floor."""
+    return max(Q_FLOOR_FRAC * gas.c_star, 0.5 * c_l)
 
 
 class _Operator:
@@ -388,8 +450,7 @@ def solve_fixed(
         zeta, xi, cfg.m, options.n_phi, options.n_psi, phi_cap=consts.zeta_cap
     )
     a_ce = flux_A(gas, consts.c_e)
-    q_floor = max(Q_FLOOR_FRAC * gas.c_star, 0.5 * consts.c_l)
-    op = _Operator(grid, gas, cfg, a_ce, q_floor)
+    op = _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l))
     if x0 is not None and x0.shape == (grid.n_phi + 1, grid.n_psi + 1):
         Q0 = x0.copy()
         Q0[~op.free] = a_ce
@@ -432,13 +493,13 @@ def assemble_residual(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.n
     (Q_1j - Q_0j)/h - G(Q_0j) + (h/2) D2_psi F (so a constant field Q = A(c_e)
     yields exactly -1/(R0 c_e rho(c_e^2))); axis/wall nodes the mirrored
     transverse-flux rows; Dirichlet nodes report Q - A(c_e).  Every row reads
-    at most 5 nodes.
+    at most 5 nodes.  c_e and the Newton clamp come from
+    ``derive_constants(gas, cfg)``, as in ``solve_fixed``.
     """
     grid = field.grid
-    c_e = _resolve_c_e(gas, cfg)
-    a_ce = flux_A(gas, c_e)
-    q_floor = max(Q_FLOOR_FRAC * gas.c_star, 1e-3)
-    op = _Operator(grid, gas, cfg, a_ce, q_floor)
+    consts = derive_constants(gas, cfg)
+    a_ce = flux_A(gas, consts.c_e)
+    op = _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l))
     r = op.residual(field.Q)
     out = np.empty_like(field.Q)
     out[:] = field.Q - a_ce  # Dirichlet rows
@@ -469,8 +530,6 @@ def picard_T(
     with values in [c_l, c*).  Fixed points of this map coincide with
     solutions of the coupled problem (the Robin inlet condition).
     """
-    from .gasdyn import derive_constants
-
     options = options or SolverOptions()
     consts = derive_constants(gas, cfg)
     grid = build_grid(
@@ -484,9 +543,10 @@ def picard_T(
     if not (np.all(trace >= consts.c_l - 1e-12) and np.all(trace < gas.c_star)):
         raise ConstraintError("inlet profile must lie in [c_l, c*)")
     a_ce = flux_A(gas, consts.c_e)
-    q_floor = max(Q_FLOOR_FRAC * gas.c_star, 0.5 * consts.c_l)
     flux = 1.0 / (cfg.R0 * trace * np.asarray(gas.rho(trace)))
-    op = _Operator(grid, gas, cfg, a_ce, q_floor, fixed_inlet_flux=flux)
+    op = _Operator(
+        grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux
+    )
     Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
     Q0[~op.free] = a_ce
     Qfull, _, _ = _newton_solve(

@@ -74,14 +74,24 @@ class ZetaStarResult:
     solvable, so zeta_star is reported as 0.0; cap_binding means the
     unsolvable side of the bracket failed because the outlet potential hit
     the cap R0 c_l (for a floor-limited search: the outlet potential at the
-    floor already sits on the cap).
+    floor already sits on the cap).  ``at_star`` is the solved flow at the
+    smallest solvable probe (the floor when floor-limited), ``at_hat`` the
+    one at zeta_hat when the search probed it (None when floor-limited).
     """
 
     zeta_star: float
     cap_binding: bool
     floor_limited: bool
-    xi_at_star: float
-    r_equiv_at_star: float
+    at_star: FreeSolution
+    at_hat: FreeSolution | None
+
+    @property
+    def xi_at_star(self) -> float:
+        return self.at_star.xi
+
+    @property
+    def r_equiv_at_star(self) -> float:
+        return self.at_star.r_equiv
 
 
 @dataclass(frozen=True)
@@ -234,25 +244,6 @@ def solve_outlet(
 # ---------------------------------------------------------------------------
 # Minimal detachment abscissa.
 
-_zeta_star_cache: dict[tuple, ZetaStarResult] = {}
-
-
-def _cache_key(cfg, gas, options, floor, zeta_tol):
-    return (
-        gas.gamma,
-        cfg.R0,
-        cfg.vartheta,
-        cfg.m,
-        cfg.c_e,
-        cfg.P_e,
-        options.n_phi,
-        options.n_psi,
-        options.tol,
-        options.shoot_tol,
-        floor,
-        zeta_tol,
-    )
-
 
 def find_zeta_star(
     cfg: FlowConfig,
@@ -267,18 +258,16 @@ def find_zeta_star(
     The search floor defaults to 1e-3 * zeta_hat: if even the floor is
     solvable the result is reported as zeta_star = 0.0 with
     ``floor_limited`` set (the family extends to arbitrarily small zeta as
-    far as this resolution can see).  Results are cached per configuration
-    so classification queries stay consistent with each other.
+    far as this resolution can see).  Every call runs the search afresh; the
+    result carries the flows it solved at the lower end and at zeta_hat so
+    that callers (``match_R``, ``classify_radius``) reuse them instead of
+    solving them again.
     """
     options = options or SolverOptions()
     if floor is None:
         floor = 1e-3 * consts.zeta_hat
     if zeta_tol is None:
         zeta_tol = 1e-3 * consts.zeta_hat
-    key = _cache_key(cfg, gas, options, floor, zeta_tol)
-    hit = _zeta_star_cache.get(key)
-    if hit is not None:
-        return hit
 
     def probe(z):
         return solve_outlet(z, cfg, gas, consts, options)
@@ -286,25 +275,24 @@ def find_zeta_star(
     sol_floor = probe(floor)
     if isinstance(sol_floor, FreeSolution):
         cap_binding = abs(sol_floor.xi - consts.zeta_cap) <= 1e-6 * consts.zeta_cap
-        result = ZetaStarResult(
+        return ZetaStarResult(
             zeta_star=0.0,
             cap_binding=cap_binding,
             floor_limited=True,
-            xi_at_star=sol_floor.xi,
-            r_equiv_at_star=sol_floor.r_equiv,
+            at_star=sol_floor,
+            at_hat=None,
         )
-        _zeta_star_cache[key] = result
-        return result
 
     lo = floor  # unsolvable
     lo_reason = sol_floor.reason
     hi = consts.zeta_hat  # solvable by the symmetric construction
-    sol_hi = probe(hi)
-    if not isinstance(sol_hi, FreeSolution):
+    sol_hat = probe(hi)
+    if not isinstance(sol_hat, FreeSolution):
         raise NonconvergenceError(
             "the symmetric detachment abscissa itself failed to solve; "
             "resolution too coarse for this configuration"
         )
+    sol_hi = sol_hat
     while hi - lo > zeta_tol:
         mid = 0.5 * (lo + hi)
         sol = probe(mid)
@@ -318,16 +306,13 @@ def find_zeta_star(
             "the symmetric abscissa; the threshold must satisfy "
             "zeta_star < zeta_hat"
         )
-    cap_binding = lo_reason == "outlet-cap-bound"
-    result = ZetaStarResult(
+    return ZetaStarResult(
         zeta_star=hi,
-        cap_binding=cap_binding,
+        cap_binding=lo_reason == "outlet-cap-bound",
         floor_limited=False,
-        xi_at_star=sol_hi.xi,
-        r_equiv_at_star=sol_hi.r_equiv,
+        at_star=sol_hi,
+        at_hat=sol_hat,
     )
-    _zeta_star_cache[key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +326,7 @@ def match_R(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
     match_tol: float = 1e-7,
+    zs: ZetaStarResult | None = None,
 ) -> FreeSolution:
     """Pick the detachment abscissa whose wetted wall length equals R0 - R.
 
@@ -349,32 +335,25 @@ def match_R(
     under R0 when every zeta is solvable and R_hat the lower endpoint.
     Radii at or below R_hat raise LongNozzleError, radii at or above the
     achievable maximum raise ShortNozzleError; both carry (r_hat, r_star).
+    ``zs`` is the minimal-detachment search for this configuration when the
+    caller already ran it; its solved endpoints bracket the match.
     """
     options = options or SolverOptions()
     if not (0.0 < R < cfg.R0):
         raise ConstraintError(f"need 0 < R < R0 = {cfg.R0}, got R = {R}")
     target = cfg.R0 - R
 
-    zs = find_zeta_star(cfg, gas, consts, options)
-    floor = 1e-3 * consts.zeta_hat
-    z_lo = max(zs.zeta_star, floor)
-    sol_lo = solve_outlet(z_lo, cfg, gas, consts, options)
-    if not isinstance(sol_lo, FreeSolution):
-        # zeta_star was resolved only to zeta_tol; nudge up until solvable.
-        z = z_lo
-        for _ in range(60):
-            z = min(z * 1.5, consts.zeta_hat)
-            sol_lo = solve_outlet(z, cfg, gas, consts, options)
-            if isinstance(sol_lo, FreeSolution):
-                z_lo = z
-                break
-        else:
-            raise NonconvergenceError("no solvable zeta found above zeta_star")
-    sol_hi = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
-    if not isinstance(sol_hi, FreeSolution):
-        raise NonconvergenceError(
-            "the symmetric detachment abscissa itself failed to solve"
-        )
+    if zs is None:
+        zs = find_zeta_star(cfg, gas, consts, options)
+    sol_lo = zs.at_star
+    z_lo = sol_lo.zeta
+    sol_hi = zs.at_hat
+    if sol_hi is None:
+        sol_hi = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
+        if not isinstance(sol_hi, FreeSolution):
+            raise NonconvergenceError(
+                "the symmetric detachment abscissa itself failed to solve"
+            )
     r_hat = consts.R_hat
     r_star = sol_lo.r_equiv
     # Wall length is monotone in zeta; detect the direction rather than
@@ -453,24 +432,22 @@ def classify_radius(
     short (R above every achievable equivalent radius)."""
     if R <= 0.0:
         raise ConstraintError(f"need a positive nozzle radius, got R = {R}")
+    zs = find_zeta_star(cfg, gas, consts, options)
+    r_star = zs.r_equiv_at_star
     if R >= cfg.R0:
         # No jet is as wide as the inlet itself, so any such radius demands
         # a non-positive wetted wall: too short for every detachment.
-        zs = find_zeta_star(cfg, gas, consts, options)
-        return ClassifyResult(
-            "NO_SOLUTION_SHORT", r_hat=consts.R_hat, r_star=zs.r_equiv_at_star
-        )
+        return ClassifyResult("NO_SOLUTION_SHORT", r_hat=consts.R_hat, r_star=r_star)
     try:
-        sol = match_R(R, cfg, gas, consts, options)
+        sol = match_R(R, cfg, gas, consts, options, zs=zs)
     except LongNozzleError as err:
         return ClassifyResult("NO_SOLUTION_LONG", r_hat=err.r_hat, r_star=err.r_star)
     except ShortNozzleError as err:
         return ClassifyResult("NO_SOLUTION_SHORT", r_hat=err.r_hat, r_star=err.r_star)
-    zs = find_zeta_star(cfg, gas, consts, options)
     return ClassifyResult(
         "EXISTS",
         r_hat=consts.R_hat,
-        r_star=zs.r_equiv_at_star,
+        r_star=r_star,
         zeta=sol.zeta,
         xi=sol.xi,
         wall_length=sol.wall_length,
@@ -520,7 +497,7 @@ def sweep_zeta(
     Rows that fail keep their place in the table with a status of
     "no-solution" (typed nonexistence) or "error" (solver failure).  With no
     explicit floor the ladder starts at max(zeta_star, 0.02 * zeta_hat),
-    using the cached minimal-detachment search."""
+    which runs the minimal-detachment search first."""
     if count < 3:
         raise ConstraintError(f"sweep needs count >= 3, got {count}")
     options = options or SolverOptions()

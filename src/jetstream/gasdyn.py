@@ -286,7 +286,12 @@ def flux_E(gas: GasModel, s: float, tol: float = 1e-12) -> float:
     return flux_A(gas, q)
 
 
-def _c_e_from_pressure(gas: GasModel, p_e: float) -> float:
+def resolve_c_e(gas: GasModel, cfg: FlowConfig) -> float:
+    """Exit speed of the configuration: c_e as given, or the speed at which
+    the isentropic pressure equals P_e."""
+    if cfg.c_e is not None:
+        return cfg.c_e
+    p_e = cfg.P_e
     p_sonic = pressure(gas, gas.rho(gas.c_star))
     p_stag = 1.0 / gas.gamma
     if not p_sonic < p_e < p_stag:
@@ -308,7 +313,7 @@ def derive_constants(gas: GasModel, cfg: FlowConfig) -> DerivedConstants:
     0 < zeta_hat < R0 c_l holds for every feasible m (window or not) and is
     asserted here, but it does not certify admissibility by itself.
     """
-    c_e = cfg.c_e if cfg.c_e is not None else _c_e_from_pressure(gas, cfg.P_e)
+    c_e = resolve_c_e(gas, cfg)
     if not 0.0 < c_e < gas.c_star:
         raise ConstraintError(f"exit speed must be subsonic: 0 < c_e < {gas.c_star}, got {c_e}")
     rho_e = gas.rho(c_e)

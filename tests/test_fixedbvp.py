@@ -8,7 +8,7 @@ import pytest
 import jetstream as js
 import oracle_data as od
 from jetstream import errors, numerics
-from jetstream.fixedbvp import _Operator
+from jetstream.fixedbvp import _Operator, newton_q_floor
 
 
 def _manufactured_Q(gas, phi, psi, xi, m):
@@ -52,15 +52,48 @@ def test_build_grid_asymmetric_split():
     assert 0.5 <= h1 / h2 <= 2.0
 
 
-def test_build_grid_extreme_ratio_still_legal():
-    # zeta tiny relative to xi: segment minimums and the spacing-ratio rule
-    # force extra cells rather than an illegal grid.
-    g = js.build_grid(0.001, 0.2, 0.25, 64, 32)
+def _assert_graded(g, zeta, xi, n_phi):
+    """Invariants of a grid whose coarse segment is graded away from zeta."""
     iz = g.zeta_index
-    h1 = 0.001 / iz
-    h2 = (0.2 - 0.001) / (g.n_phi - iz)
+    h = np.diff(g.phi_nodes)
+    assert g.phi_nodes[iz] == zeta
+    assert g.phi_nodes[0] == 0.0 and g.phi_nodes[-1] == xi
+    assert g.n_phi <= 2 * n_phi
     assert iz >= 4 and g.n_phi - iz >= 4
-    assert 0.5 <= h1 / h2 <= 2.0
+    left, right = h[:iz], h[iz:]
+    if right[0] > left[-1]:
+        fine, coarse = left, right  # graded toward the outlet
+    else:
+        fine, coarse = right, left[::-1]  # graded toward the inlet
+    assert np.ptp(fine) <= 1e-12 * fine[0]
+    assert coarse[0] <= 2.0 * fine[0] * (1.0 + 1e-12)
+    steps = coarse[1:] / coarse[:-1]
+    assert steps.min() >= 1.0 - 1e-9  # spacing never shrinks away from zeta
+    assert steps.max() <= (1.0 + 8.0 / n_phi) * (1.0 + 1e-12)
+
+
+def test_build_grid_extreme_ratio_still_legal(consts):
+    # zeta tiny relative to xi: the right segment is graded away from zeta
+    # instead of carrying thousands of uniform cells.
+    _assert_graded(js.build_grid(0.001, 0.2, 0.25, 64, 32), 0.001, 0.2, 64)
+    # The floor probe of the zeta_star search at the outlet cap.
+    zeta, xi = 1e-3 * consts.zeta_hat, consts.zeta_cap
+    _assert_graded(js.build_grid(zeta, xi, od.M_FLUX, 64, 32), zeta, xi, 64)
+    # Near-symmetric: 1 - zeta/xi = 8e-4, the left segment is the graded one.
+    xi = consts.zeta_hat
+    zeta = (1.0 - 8e-4) * xi
+    g = js.build_grid(zeta, xi, od.M_FLUX, 128, 64)
+    _assert_graded(g, zeta, xi, 128)
+    assert g.n_phi - g.zeta_index == 4
+    # Spacings within a factor 2 of each other: no grading, node for node
+    # the concatenation of np.linspace over each segment.
+    g = js.build_grid(0.06, 0.11, 0.25, 64, 32)
+    n1 = round(64 * 0.06 / 0.11)
+    expected = np.concatenate(
+        [np.linspace(0.0, 0.06, n1 + 1), np.linspace(0.06, 0.11, 64 - n1 + 1)[1:]]
+    )
+    assert g.zeta_index == n1
+    assert np.array_equal(g.phi_nodes, expected)
 
 
 def test_build_grid_validation():
@@ -115,7 +148,7 @@ def test_interior_residual_second_order(gas, cfg):
 
 def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
     grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16)
-    q_floor = max(1e-4 * gas.c_star, 0.5 * consts.c_l)
+    q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, 0.11, od.M_FLUX)
     Qfull[~op.free] = od.A_CE
@@ -135,7 +168,7 @@ def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
 
 def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
     grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16)
-    q_floor = max(1e-4 * gas.c_star, 0.5 * consts.c_l)
+    q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = np.full((33, 17), od.A_07)
     with mock.patch.object(
@@ -151,7 +184,7 @@ def test_certificate_rejects_lost_inlet_coercivity(gas, cfg, consts):
     # With the whole inlet at the clamp floor (q = q_floor < c_l) and xi at
     # the cap, the Robin coupling overwhelms the column weights.
     grid = js.build_grid(0.1, consts.zeta_cap, od.M_FLUX, 32, 16)
-    q_floor = max(1e-4 * gas.c_star, 0.5 * consts.c_l)
+    q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = np.full((33, 17), float(gas.fast_A(q_floor)))
     with pytest.raises(errors.SingularSystemError):

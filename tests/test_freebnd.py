@@ -1,11 +1,13 @@
 """Outlet shooting, detachment thresholds, radius matching, sweeps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import jetstream as js
 import oracle_data as od
-from jetstream import errors
+from jetstream import errors, freebnd
 
 
 def _constant_field(gas, grid, q_value):
@@ -100,10 +102,42 @@ def test_zeta_star_floor_limited_on_desk_config(gas, cfg, consts, opts64):
     assert od.R_HAT < zs.r_equiv_at_star < od.R0
 
 
-def test_zeta_star_cached(gas, cfg, consts, opts64):
-    a = js.find_zeta_star(cfg, gas, consts, opts64)
-    b = js.find_zeta_star(cfg, gas, consts, opts64)
-    assert a is b
+@pytest.mark.parametrize("tight", [False, True], ids=["floor-limited", "cap-bound"])
+def test_classify_runs_one_zeta_star_search(gas, cfg, consts, opts64, tight):
+    # classify_radius searches zeta_star once and match_R reuses the flows
+    # that search solved, so no detachment abscissa is solved twice.
+    if tight:
+        cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+        consts = js.derive_constants(gas, cfg)
+        opts = js.SolverOptions(n_phi=32, n_psi=16)
+        r_star = js.find_zeta_star(cfg, gas, consts, opts).r_equiv_at_star
+    else:
+        opts, r_star = opts64, 0.9998
+    R = 0.5 * (consts.R_hat + r_star)  # inside the window: EXISTS
+    with mock.patch.object(
+        freebnd, "solve_outlet", wraps=freebnd.solve_outlet
+    ) as outlet, mock.patch.object(
+        freebnd, "find_zeta_star", wraps=freebnd.find_zeta_star
+    ) as search:
+        res = js.classify_radius(R, cfg, gas, consts, opts)
+    assert res.verdict == "EXISTS"
+    assert search.call_count == 1
+    zetas = [c.args[0] for c in outlet.call_args_list]
+    assert len(zetas) == len(set(zetas)), f"zeta solved twice: {sorted(zetas)}"
+
+
+def test_floor_probe_on_graded_grid(gas, cfg, consts, opts64):
+    # The floor probe of the zeta_star search (zeta = 1e-3 zeta_hat) on the
+    # graded grid (~90 cells) against the same solve on the uniformly
+    # refined grid of the earlier spacing rule (3303 cells), recorded from
+    # commit bef28c6.  r_equiv agrees to roundoff.  xi differs by 2.2e-5,
+    # the far-field spacing's O(h^2) error: a fifth of xi's own change from
+    # 64x32 to 128x64 cells (1.5e-4) at zeta = 0.01 zeta_hat.
+    sol = js.solve_outlet(1e-3 * consts.zeta_hat, cfg, gas, consts, opts64)
+    assert isinstance(sol, js.FreeSolution)
+    assert sol.field.grid.n_phi <= 2 * opts64.n_phi
+    assert abs(sol.r_equiv - 0.9998694041117632) <= 1e-6
+    assert abs(sol.xi - 0.17237646197212902) <= 5e-5
 
 
 def test_zeta_star_positive_when_cap_binds(gas):
