@@ -39,10 +39,23 @@ measured on the residual in PDE-density units (finite-volume row divided by
 its cell measure); the stated tolerance is floored by a per-grid roundoff
 estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable level of that norm in
 double precision.
+
+Bordered row (``solve_fixed(..., free_xi=True)``): xi becomes one more
+unknown and the inlet mass-flux defect D(Q) one more equation (Keller's
+bordering algorithm).  With the cell counts held fixed the nodes move with
+xi at known rates (``Grid.dh_dxi``), so g = dr/dxi is analytic.  Each step
+factors the same certified M = -J once and solves M [y z] = [r g]; with c
+the defect's gradient on the inlet column, the xi correction is
+-(D + c.y) / (c.z) and Q moves by y + dxi z.  The certificate therefore
+still covers every factorized matrix.  The scalar Schur complement c.z is
+the slope d'(xi) of the defect along the solution family, positive by the
+defect's monotonicity in xi; a step where it is not positive (a start flat
+on [zeta, xi]) keeps xi fixed.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -68,7 +81,11 @@ class Grid:
     [zeta, xi] is uniform, or the coarser one is graded away from zeta when
     uniform spacings would differ by more than a factor 2 (``build_grid``).
     psi_nodes is uniform.  zeta == xi (symmetric geometry) puts zeta_index at
-    the outlet column.
+    the outlet column.  ``layout`` holds the segments' cell counts (n1, n2
+    requested on [0, zeta] and [zeta, xi], the graded side or None, the
+    graded segment's cells or None); ``dh_dxi`` is the rate at which each
+    phi cell's width moves with xi when those counts are held fixed (None
+    for the symmetric geometry).
     """
 
     zeta: float
@@ -77,6 +94,8 @@ class Grid:
     phi_nodes: np.ndarray
     psi_nodes: np.ndarray
     zeta_index: int
+    layout: tuple
+    dh_dxi: np.ndarray | None
 
     @property
     def n_phi(self) -> int:
@@ -113,20 +132,27 @@ class SolverOptions:
 
 
 def _graded(
-    length: float, n_req: int, h0: float, ratio: float, max_cells: int
-) -> np.ndarray:
+    length: float,
+    n_req: int,
+    h0: float,
+    ratio: float,
+    max_cells: int,
+    n: int | None = None,
+) -> tuple[np.ndarray, int]:
     """Cell widths, summing to ``length``, for a segment graded away from a
-    first cell of width ``h0``.
+    first cell of width ``h0``, and the number j of cells still growing.
 
     Widths are min(h0 ratio^i, c): they grow geometrically until they reach a
-    common width c, then stay uniform.  The cell count is the smallest that
-    keeps c at or below the requested uniform width length / n_req, capped at
-    ``max_cells``; c is then set so the widths fill the segment exactly.
+    common width c, then stay uniform (cells j, j+1, ...).  The cell count is
+    the smallest that keeps c at or below the requested uniform width
+    length / n_req, capped at ``max_cells``, unless ``n`` fixes it; c is then
+    set so the widths fill the segment exactly.
     """
-    H = length / n_req
     geo = h0 * ratio ** np.arange(max_cells)
-    k = int(np.count_nonzero(geo < H))
-    n = min(k + math.ceil((length - float(geo[:k].sum())) / H), max_cells)
+    if n is None:
+        H = length / n_req
+        k = int(np.count_nonzero(geo < H))
+        n = min(k + math.ceil((length - float(geo[:k].sum())) / H), max_cells)
     geo = geo[:n]
     # f(c) = sum(min(geo, c)) increases with c; on [geo[j-1], geo[j]] it is
     # G_j + (n - j) c with G_j the sum of the first j widths.
@@ -136,10 +162,69 @@ def _graded(
     if j == n:
         raise ConstraintError(
             f"cannot grade a segment {length / h0:.3g} times its first cell "
-            f"in {max_cells} cells at ratio {ratio:.4g}; raise n_phi"
+            f"in {n} cells at ratio {ratio:.4g}; raise n_phi"
         )
     c = (length - float(G[j])) / (n - j)
-    return np.minimum(geo, c)
+    return np.minimum(geo, c), j
+
+
+def _split(zeta: float, xi: float, n_phi: int) -> tuple:
+    """Requested cell counts of the phi segments [0, zeta] and [zeta, xi],
+    and the side graded (None when the two uniform spacings are within a
+    factor 2): (n1, n2, side)."""
+    if xi - zeta <= 1e-14 * xi:
+        return (n_phi, 0, None)
+    n1 = int(round(n_phi * zeta / xi))
+    n1 = min(max(n1, 4), n_phi - 4)
+    n2 = n_phi - n1
+    h1, h2 = zeta / n1, (xi - zeta) / n2
+    if h2 / h1 > 2.0:
+        return (n1, n2, "right")
+    if h1 / h2 > 2.0:
+        return (n1, n2, "left")
+    return (n1, n2, None)
+
+
+def _phi_nodes(zeta: float, xi: float, n_phi: int, split: tuple, count: int | None):
+    """phi nodes for a split, zeta's node index, d(cell width)/d xi with the
+    cell counts held fixed (None when zeta == xi), and the cell count of the
+    graded segment (``count`` when given, else chosen by ``_graded``).
+
+    The width rates are exact for this parametrization: uniform cells on
+    [zeta, xi] grow as 1/n2; graded cells on the right keep their geometric
+    run and the uniform tail absorbs the change; graded cells on the left
+    scale with their first width 2 (xi - zeta)/n2 and the tail shrinks so
+    [0, zeta] keeps its length.
+    """
+    n1, n2, side = split
+    if n2 == 0:
+        return np.linspace(0.0, xi, n_phi + 1), n_phi, None, None
+    ratio = 1.0 + 8.0 / n_phi
+    L = xi - zeta
+    if side == "right":
+        widths, j = _graded(L, n2, 2.0 * (zeta / n1), ratio, 2 * n_phi - n1, count)
+        count = len(widths)
+        right = zeta + np.concatenate([[0.0], np.cumsum(widths)])
+        right[-1] = xi
+        left = np.linspace(0.0, zeta, n1 + 1)
+        rate_r = np.where(np.arange(count) >= j, 1.0 / (count - j), 0.0)
+        rate_l = np.zeros(n1)
+    elif side == "left":
+        widths, j = _graded(zeta, n1, 2.0 * (L / n2), ratio, 2 * n_phi - n2, count)
+        count = len(widths)
+        left = (zeta - np.concatenate([[0.0], np.cumsum(widths)]))[::-1]
+        left[0] = 0.0
+        right = np.linspace(zeta, xi, n2 + 1)
+        grow = widths[:j] / L
+        tail = np.full(count - j, -grow.sum() / (count - j))
+        rate_l = np.concatenate([grow, tail])[::-1]
+        rate_r = np.full(n2, 1.0 / n2)
+    else:
+        left = np.linspace(0.0, zeta, n1 + 1)
+        right = np.linspace(zeta, xi, n2 + 1)
+        rate_l, rate_r = np.zeros(n1), np.full(n2, 1.0 / n2)
+    phi_nodes = np.concatenate([left, right[1:]])
+    return phi_nodes, len(left) - 1, np.concatenate([rate_l, rate_r]), count
 
 
 def build_grid(
@@ -149,6 +234,7 @@ def build_grid(
     n_phi: int,
     n_psi: int,
     phi_cap: float | None = None,
+    layout: tuple | None = None,
 ) -> Grid:
     """Construct the solver grid for a (zeta, xi) geometry.
 
@@ -162,6 +248,11 @@ def build_grid(
     total cell count stays at most 2 n_phi however small zeta/xi or
     1 - zeta/xi gets.  ``phi_cap`` (R0 c_l when the caller knows it) enforces
     the solvability bound xi <= phi_cap.
+
+    ``layout`` (another grid's ``Grid.layout``) fixes the segments' cell
+    counts instead of choosing them for this xi, so the node count and
+    zeta's index stay those of that grid; when it equals the layout this
+    (zeta, xi) would get, the grid is the same node for node.
     """
     if not zeta > 0.0:
         raise ConstraintError(f"need 0 < zeta, got zeta={zeta}")
@@ -174,29 +265,12 @@ def build_grid(
     if n_psi < 8:
         raise ConstraintError(f"n_psi must be >= 8, got {n_psi}")
     psi_nodes = np.linspace(0.0, m, n_psi + 1)
-    if xi - zeta <= 1e-14 * xi:
-        phi_nodes = np.linspace(0.0, xi, n_phi + 1)
-        return Grid(zeta, xi, m, phi_nodes, psi_nodes, n_phi)
-    n1 = int(round(n_phi * zeta / xi))
-    n1 = min(max(n1, 4), n_phi - 4)
-    n2 = n_phi - n1
-    h1, h2 = zeta / n1, (xi - zeta) / n2
-    ratio = 1.0 + 8.0 / n_phi
-    if h2 / h1 > 2.0:
-        widths = _graded(xi - zeta, n2, 2.0 * h1, ratio, 2 * n_phi - n1)
-        right = zeta + np.concatenate([[0.0], np.cumsum(widths)])
-        right[-1] = xi
-        left = np.linspace(0.0, zeta, n1 + 1)
-    elif h1 / h2 > 2.0:
-        widths = _graded(zeta, n1, 2.0 * h2, ratio, 2 * n_phi - n2)
-        left = (zeta - np.concatenate([[0.0], np.cumsum(widths)]))[::-1]
-        left[0] = 0.0
-        right = np.linspace(zeta, xi, n2 + 1)
+    if layout is None:
+        split, count = _split(zeta, xi, n_phi), None
     else:
-        left = np.linspace(0.0, zeta, n1 + 1)
-        right = np.linspace(zeta, xi, n2 + 1)
-    phi_nodes = np.concatenate([left, right[1:]])
-    return Grid(zeta, xi, m, phi_nodes, psi_nodes, len(left) - 1)
+        split, count = layout[:3], layout[3]
+    phi_nodes, iz, dh_dxi, count = _phi_nodes(zeta, xi, n_phi, split, count)
+    return Grid(zeta, xi, m, phi_nodes, psi_nodes, iz, (*split, count), dh_dxi)
 
 
 def newton_q_floor(gas: GasModel, c_l: float) -> float:
@@ -213,7 +287,6 @@ class _Operator:
     """
 
     def __init__(self, grid, gas, cfg, a_ce, q_floor, fixed_inlet_flux=None):
-        self.grid = grid
         self.gas = gas
         self.cfg = cfg
         self.a_ce = a_ce
@@ -221,11 +294,10 @@ class _Operator:
         self.a_floor = float(gas.fast_A(q_floor))
         self.fixed_inlet_flux = fixed_inlet_flux
 
-        phi, psi = grid.phi_nodes, grid.psi_nodes
+        psi = grid.psi_nodes
         np_, nq = grid.n_phi, grid.n_psi
         iz = grid.zeta_index
         self.k = float(psi[1] - psi[0])
-        h_face = np.diff(phi)
 
         free = np.ones((np_ + 1, nq + 1), dtype=bool)
         free[np_, :] = False
@@ -241,11 +313,7 @@ class _Operator:
         self.at_inlet = ii == 0
         self.has_S = jj > 0
         self.has_N = jj < nq
-        self.hE = h_face[ii]
-        self.hW = np.where(ii > 0, h_face[np.maximum(ii - 1, 0)], 1.0)
-        self.dphi = np.where(ii > 0, 0.5 * (self.hW + self.hE), 0.5 * self.hE)
         self.dpsi = np.where((jj == 0) | (jj == nq), 0.5 * self.k, self.k)
-        self.cell = self.dphi * self.dpsi
 
         self.jjN = np.minimum(jj + 1, nq)
         self.jjS = np.maximum(jj - 1, 0)
@@ -254,9 +322,35 @@ class _Operator:
         self.pN = np.where(self.has_N, idx[ii, self.jjN], -1)
         self.pS = np.where(self.has_S, idx[ii, self.jjS], -1)
         self.p = np.arange(self.n_free)
-        self.phi_of_p = phi[ii]
+        self._set_phi(grid)
+
+    def _set_phi(self, grid):
+        """Everything that depends on the phi node positions."""
+        self.grid = grid
+        ii = self.ii
+        h_face = np.diff(grid.phi_nodes)
+        self.hE = h_face[ii]
+        self.hW = np.where(ii > 0, h_face[np.maximum(ii - 1, 0)], 1.0)
+        self.dphi = np.where(ii > 0, 0.5 * (self.hW + self.hE), 0.5 * self.hE)
+        self.cell = self.dphi * self.dpsi
+        self.phi_of_p = grid.phi_nodes[ii]
         # Roundoff floor of the density-norm residual on this grid.
         self.h_min = float(h_face.min())
+
+    def on(self, grid: Grid) -> "_Operator":
+        """The same operator on another grid.  A grid with the same nodes in
+        psi, the same phi node count and the same zeta index shares this
+        operator's index arrays; only the phi geometry is recomputed."""
+        if (grid.n_phi, grid.zeta_index) == (
+            self.grid.n_phi,
+            self.grid.zeta_index,
+        ) and np.array_equal(grid.psi_nodes, self.grid.psi_nodes):
+            moved = copy.copy(self)
+            moved._set_phi(grid)
+            return moved
+        return _Operator(
+            grid, self.gas, self.cfg, self.a_ce, self.q_floor, self.fixed_inlet_flux
+        )
 
     def expand(self, vec):
         Qfull = np.full((self.grid.n_phi + 1, self.grid.n_psi + 1), self.a_ce)
@@ -270,9 +364,11 @@ class _Operator:
         q0 = self.gas.fast_q_of_A(QC_inlet)
         return 1.0 / (self.cfg.R0 * q0 * self.gas.rho(q0))
 
-    def residual(self, Qfull):
-        """Finite-volume residual over free nodes (cell-integrated units)."""
-        F = self.gas.fast_F_of_A(Qfull)
+    def residual(self, Qfull, F=None):
+        """Finite-volume residual over free nodes (cell-integrated units).
+        ``F`` is F(Qfull) when the caller already has it."""
+        if F is None:
+            F = self.gas.fast_F_of_A(Qfull)
         ii, jj = self.ii, self.jj
         QC = Qfull[ii, jj]
         flux_e = self.dpsi * (Qfull[ii + 1, jj] - QC) / self.hE
@@ -294,15 +390,39 @@ class _Operator:
         r -= np.where(self.has_S, rs, 0.0)
         return r
 
+    def dr_dxi(self, Qfull, F):
+        """d(residual)/d xi at fixed nodal values Q (and F = F(Q)), with the
+        grid's cell counts held fixed: cell widths move at ``grid.dh_dxi``,
+        so each phi-face flux scales as 1/h and each transverse term with
+        its cell's phi extent."""
+        ii, jj = self.ii, self.jj
+        dh = self.grid.dh_dxi
+        dhE = dh[ii]
+        dhW = np.where(ii > 0, dh[np.maximum(ii - 1, 0)], 0.0)
+        QC = Qfull[ii, jj]
+        out = -self.dpsi * (Qfull[ii + 1, jj] - QC) * dhE / self.hE**2
+        inner = ~self.at_inlet
+        out[inner] += (
+            self.dpsi[inner]
+            * (QC[inner] - Qfull[ii[inner] - 1, jj[inner]])
+            * dhW[inner]
+            / self.hW[inner] ** 2
+        )
+        ddphi = np.where(ii > 0, 0.5 * (dhW + dhE), 0.5 * dhE)
+        FC = F[ii, jj]
+        out += np.where(self.has_N, ddphi * (F[ii, self.jjN] - FC) / self.k, 0.0)
+        out -= np.where(self.has_S, ddphi * (FC - F[ii, self.jjS]) / self.k, 0.0)
+        return out
+
     def density_norm(self, r):
         return float(np.max(np.abs(r) / self.cell))
 
-    def roundoff_floor(self, Qfull):
+    def roundoff_floor(self, Qfull, F):
         # Density-norm rows divide second differences by cell spacings, so
         # assembly roundoff is amplified by 1/h^2; the constant covers the
         # row-term count and observed cancellation on extreme-aspect grids.
         qmax = float(np.max(np.abs(Qfull)))
-        fmax = float(np.max(np.abs(self.gas.fast_F_of_A(Qfull))))
+        fmax = float(np.max(np.abs(F)))
         eps = np.finfo(float).eps
         return 64.0 * eps * (qmax / self.h_min**2 + fmax / self.k**2)
 
@@ -314,7 +434,9 @@ class _Operator:
         gas = self.gas
         ii, jj = self.ii, self.jj
         QC = Qfull[ii, jj]
-        fpC = gas.fast_Fprime_of_A(QC)
+        # One lookup on the full grid, gathered at the C, N and S neighbours.
+        fp = gas.fast_Fprime_of_A(Qfull)
+        fpC = fp[ii, jj]
         if np.any(fpC <= 0.0):
             raise SingularSystemError("flux slope F' lost positivity (supersonic state)")
         diag = self.dpsi / self.hE + self.dphi * fpC * (
@@ -334,14 +456,14 @@ class _Operator:
         mS = self.has_S & (self.pS >= 0)
         vW = -self.dpsi / self.hW
         vE = -self.dpsi / self.hE
-        fpN = gas.fast_Fprime_of_A(Qfull[ii, self.jjN])
-        fpS = gas.fast_Fprime_of_A(Qfull[ii, self.jjS])
+        fpN = fp[ii, self.jjN]
+        fpS = fp[ii, self.jjS]
         vN = -self.dphi * fpN / self.k
         vS = -self.dphi * fpS / self.k
 
         # --- M-matrix certificate: weighted column sums with w = xi + eps - phi.
         if self.fixed_inlet_flux is None and np.any(self.at_inlet):
-            q_min = float(np.min(gas.fast_q_of_A(QC[self.at_inlet])))
+            q_min = float(np.min(q0))
             margin = self.cfg.R0 * q_min - self.grid.xi
             if margin < -1e-9 * self.grid.xi:
                 raise SingularSystemError(
@@ -382,44 +504,206 @@ class _Operator:
         return numerics.BandedSystem(self.n_free, nb, nb, ab, np.zeros(self.n_free))
 
 
-def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor):
-    """Damped Newton on the finite-volume system; returns (Qfull, norm, iters)."""
-    Qfull = Qfull0.copy()
-    Qfull[op.free] = np.clip(Qfull[op.free], op.a_floor, op.a_ce)
-    r = op.residual(Qfull)
-    norm = op.density_norm(r)
-    tol_eff = max(tol, op.roundoff_floor(Qfull))
-    for it in range(1, max_iters + 1):
-        if norm <= tol_eff:
-            return Qfull, norm, it - 1
+#: A pass of the bordered Newton checks its cell counts against build_grid's
+#: once its xi step falls below this fraction of xi.
+_PASS_SETTLED = 1e-3
+_MAX_PASSES = 4
+#: Smallest damping of a bordered step before the fixed-xi step is taken.
+_BORDERED_DAMPING_FLOOR = 2.0**-6
+
+
+def shoot_tolerance(options: SolverOptions, cfg: FlowConfig) -> float:
+    """Tolerance on |inlet_defect| for a free solution."""
+    if options.shoot_tol is not None:
+        return options.shoot_tol
+    return 1e-8 * cfg.R0 * cfg.vartheta
+
+
+def _mass_defect(q0, psi_nodes, gas: GasModel, cfg: FlowConfig) -> float:
+    integrand = 1.0 / (q0 * np.asarray(gas.rho(q0)))
+    return float(np.trapezoid(integrand, psi_nodes)) - cfg.R0 * cfg.vartheta
+
+
+def inlet_defect(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> float:
+    """Mass-flux imbalance of the inlet arc: integral of 1/(q rho) minus
+    R0 * vartheta.  Zero (to shooting tolerance) for a true free solution."""
+    return _mass_defect(field.q[0, :], field.grid.psi_nodes, gas, cfg)
+
+
+def interp_onto(phi_new: np.ndarray, grid_old: Grid, Q_old: np.ndarray) -> np.ndarray:
+    """Q_old carried onto new phi nodes, linearly along each psi line."""
+    out = np.empty((len(phi_new), Q_old.shape[1]))
+    for j in range(Q_old.shape[1]):
+        out[:, j] = np.interp(phi_new, grid_old.phi_nodes, Q_old[:, j])
+    return out
+
+
+@dataclass(frozen=True)
+class _Border:
+    """The mass-flux row that makes the outlet potential xi one more Newton
+    unknown (Keller's bordering).
+
+    The row is the inlet defect D(Q) (``inlet_defect``); it reads only the
+    inlet column and has no direct xi dependence.  Its gradient there is
+    -w_j / q_0j with w_j the trapezoid weights in psi, because
+    d(1/(q rho))/dA = -1/q.  xi stays inside (zeta, xi_max); grids come from
+    ``build_grid`` with the requested cell counts.
+    """
+
+    zeta: float
+    xi_max: float
+    tol: float
+    n_phi: int
+    n_psi: int
+    gas: GasModel
+    cfg: FlowConfig
+
+    def defect(self, Qfull, grid: Grid):
+        q0 = self.gas.fast_q_of_A(Qfull[0, :])
+        return _mass_defect(q0, grid.psi_nodes, self.gas, self.cfg), q0
+
+    def gradient_dot(self, q0, v, grid: Grid) -> float:
+        """(dD/dQ) . v for a vector v over the free nodes."""
+        dpsi = np.diff(grid.psi_nodes)
+        w = np.concatenate([[0.0], dpsi]) + np.concatenate([dpsi, [0.0]])
+        n = len(q0)  # inlet nodes come first in the free-node ordering
+        return float(np.dot(-0.5 * w / q0, v[:n]))
+
+    def grid(self, xi: float, layout: tuple | None = None) -> Grid:
+        return build_grid(
+            self.zeta, xi, self.cfg.m, self.n_phi, self.n_psi,
+            phi_cap=self.xi_max, layout=layout,
+        )
+
+
+def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=None):
+    """Damped Newton on the finite-volume system.
+
+    Returns (operator, Qfull, norm, factorizations); the operator's grid is
+    the one the field was solved on.  With ``border`` (a _Border) the outlet
+    potential xi is solved for too, see ``solve_fixed``.
+    """
+
+    def start(op, Qfull):
+        # Iterate, residual, tolerance and (bordered) defect and merit scales
+        # at the start of a pass.
+        Qfull[~op.free] = op.a_ce
+        Qfull[op.free] = np.clip(Qfull[op.free], op.a_floor, op.a_ce)
+        F = op.gas.fast_F_of_A(Qfull)
+        r = op.residual(Qfull, F)
+        norm = op.density_norm(r)
+        tol_eff = max(tol, op.roundoff_floor(Qfull, F))
+        D = q0 = scale = None
+        if border is not None:
+            D, q0 = border.defect(Qfull, op.grid)
+            scale = (max(norm, tol_eff), max(abs(D), border.tol))
+        return Qfull, F, r, norm, tol_eff, D, q0, scale
+
+    def trial(delta, dxi, lam):
+        # The state after the step (delta, dxi) damped by lam if the line
+        # search accepts it, else None; reads the current iterate.
+        op_t = op
+        if dxi != 0.0:
+            try:
+                op_t = op.on(border.grid(op.grid.xi + lam * dxi, op.grid.layout))
+            except ConstraintError:  # no grid of these counts
+                return None
+        Q_t = Qfull.copy()
+        Q_t[op.free] = np.clip(Qfull[op.free] + lam * delta, op.a_floor, op.a_ce)
+        F_t = op.gas.fast_F_of_A(Q_t)
+        r_t = op_t.residual(Q_t, F_t)
+        norm_t = op_t.density_norm(r_t)
+        if dxi == 0.0:
+            if not (norm_t <= (1.0 - 0.25 * lam) * norm or norm_t <= tol_eff):
+                return None
+            D_t = q0_t = None
+            if border is not None:
+                D_t, q0_t = border.defect(Q_t, op_t.grid)
+        else:
+            D_t, q0_t = border.defect(Q_t, op_t.grid)
+            merit_t = max(norm_t / scale[0], abs(D_t) / scale[1])
+            if not (
+                merit_t <= (1.0 - 0.25 * lam) * merit
+                or (norm_t <= tol_eff and abs(D_t) <= border.tol)
+            ):
+                return None
+        return op_t, Q_t, F_t, r_t, norm_t, D_t, q0_t, abs(lam * dxi)
+
+    Qfull, F, r, norm, tol_eff, D, q0, scale = start(op, Qfull0.copy())
+    passes, settled, it = 1, True, 0
+    while True:
+        converged = norm <= tol_eff and (border is None or abs(D) <= border.tol)
+        if border is not None and (converged or settled):
+            # Only a pass that ends on build_grid(zeta, xi) may return: once a
+            # pass settles on an xi whose own cell counts differ, the field is
+            # carried onto that grid and the next pass starts.
+            target = border.grid(op.grid.xi)
+            if target.layout != op.grid.layout:
+                passes += 1
+                if passes > _MAX_PASSES or target.dh_dxi is None:
+                    raise NonconvergenceError(
+                        f"bordered Newton did not settle on one grid in "
+                        f"{_MAX_PASSES} passes (xi = {op.grid.xi:.10g})",
+                        estimate=norm,
+                    )
+                Qfull = interp_onto(target.phi_nodes, op.grid, Qfull)
+                op = op.on(target)
+                Qfull, F, r, norm, tol_eff, D, q0, scale = start(op, Qfull)
+                settled = False
+                continue
+        if converged:
+            return op, Qfull, norm, it
+        if it == max_iters:
+            raise NonconvergenceError(
+                f"Newton did not reach {tol_eff:.3e} in {max_iters} iterations "
+                f"(residual {norm:.3e})",
+                estimate=norm,
+            )
+        it += 1
         sys = op.newton_matrix(Qfull)
-        sys.rhs = r
-        delta = numerics.solve_banded(sys)
-        lam = 1.0
-        vec = Qfull[op.free]
-        while True:
-            trial = np.clip(vec + lam * delta, op.a_floor, op.a_ce)
-            Qtrial = Qfull.copy()
-            Qtrial[op.free] = trial
-            r_trial = op.residual(Qtrial)
-            norm_trial = op.density_norm(r_trial)
-            if norm_trial <= (1.0 - 0.25 * lam) * norm or norm_trial <= tol_eff:
-                Qfull, r, norm = Qtrial, r_trial, norm_trial
+        # Candidate steps (dQ, dxi, smallest damping), tried in order.
+        if border is None:
+            sys.rhs = r
+            steps = [(numerics.solve_banded(sys), 0.0, damping_floor)]
+        else:
+            # One factorization, two right-hand sides: y = M^-1 r is the
+            # fixed-xi step, z = M^-1 dr/dxi the field's slope dQ/dxi.  The
+            # Schur complement c.z is the defect's slope d'(xi), positive by
+            # the defect's monotonicity.  The bordered step is tried first,
+            # with a short line search on a merit scaled by the pass's
+            # starting residual and defect, when the slope is positive and
+            # the step keeps xi inside (zeta, xi_max); otherwise (a start
+            # flat on [zeta, xi]) or when it fails, the fixed-xi step y is
+            # taken.
+            sys.rhs = np.empty((op.n_free, 2), order="F")  # LAPACK's layout
+            sys.rhs[:, 0] = r
+            sys.rhs[:, 1] = op.dr_dxi(Qfull, F)
+            yz = numerics.solve_banded(sys)
+            y, z = yz[:, 0], yz[:, 1]
+            steps = [(y, 0.0, damping_floor)]
+            slope = border.gradient_dot(q0, z, op.grid)
+            if slope > 0.0:
+                dxi = -(D + border.gradient_dot(q0, y, op.grid)) / slope
+                if border.zeta < op.grid.xi + dxi < border.xi_max:
+                    steps.insert(0, (y + dxi * z, dxi, _BORDERED_DAMPING_FLOOR))
+            merit = max(norm / scale[0], abs(D) / scale[1])
+        accepted = None
+        for delta, dxi, lam_min in steps:
+            lam = 1.0
+            while accepted is None and lam >= lam_min:
+                accepted = trial(delta, dxi, lam)
+                lam *= 0.5
+            if accepted is not None:
                 break
-            lam *= 0.5
-            if lam < damping_floor:
-                raise NonconvergenceError(
-                    f"Newton line search stalled at residual {norm:.3e} "
-                    f"(tol {tol_eff:.3e})",
-                    estimate=norm,
-                )
-    if norm <= tol_eff:
-        return Qfull, norm, max_iters
-    raise NonconvergenceError(
-        f"Newton did not reach {tol_eff:.3e} in {max_iters} iterations "
-        f"(residual {norm:.3e})",
-        estimate=norm,
-    )
+        if accepted is None:
+            raise NonconvergenceError(
+                f"Newton line search stalled at residual {norm:.3e} "
+                f"(tol {tol_eff:.3e})",
+                estimate=norm,
+            )
+        op, Qfull, F, r, norm, D, q0, step_xi = accepted
+        del accepted  # a regrid can then free this grid's operator
+        settled = step_xi <= _PASS_SETTLED * op.grid.xi
 
 
 def _subsolution_init(grid, a_ce, c_l, rho_l, R0):
@@ -436,6 +720,7 @@ def solve_fixed(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
     x0: np.ndarray | None = None,
+    free_xi: bool = False,
 ) -> SpeedField:
     """Solve the fixed-(zeta, xi) stream problem on a fresh grid.
 
@@ -443,26 +728,54 @@ def solve_fixed(
     Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)) unless ``x0`` provides a
     warm start of matching shape.  The converged field satisfies the Dirichlet
     data exactly, stays inside [A(c_l), A(c_e)] (admissible configurations),
-    and is monotone in both coordinates to 1e-8.
+    and is monotone in both coordinates to 1e-8.  ``newton_iters`` counts
+    the factorizations.
+
+    With ``free_xi`` the given xi is only the starting value of the outlet
+    potential, which becomes one more unknown pinned by the inlet mass flux
+    (|inlet_defect| <= shoot_tol, the bordered row of the module docstring).
+    Each Newton step moves Q and xi together on the starting grid's cell
+    counts; once a pass settles on an xi whose own ``build_grid`` counts
+    differ, the field is carried onto that grid and the next pass starts.
+    The returned field's grid is ``build_grid(zeta, xi*)`` node for node;
+    the caller reads xi* from ``field.grid.xi``.  No settling within a few
+    passes raises NonconvergenceError.
     """
     options = options or SolverOptions()
     grid = build_grid(
         zeta, xi, cfg.m, options.n_phi, options.n_psi, phi_cap=consts.zeta_cap
     )
     a_ce = flux_A(gas, consts.c_e)
-    op = _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l))
     if x0 is not None and x0.shape == (grid.n_phi + 1, grid.n_psi + 1):
-        Q0 = x0.copy()
-        Q0[~op.free] = a_ce
+        Q0 = x0
     else:
         Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-        Q0[~op.free] = a_ce
-    Qfull, norm, iters = _newton_solve(
-        op, Q0, options.tol, options.max_iters, options.damping_floor
+    border = None
+    if free_xi:
+        border = _Border(
+            zeta,
+            consts.zeta_cap,
+            shoot_tolerance(options, cfg),
+            options.n_phi,
+            options.n_psi,
+            gas,
+            cfg,
+        )
+    # The operator is handed over, not kept here: a bordered solve replaces
+    # it with one per grid it moves to.
+    op, Qfull, norm, iters = _newton_solve(
+        _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l)),
+        Q0,
+        options.tol,
+        options.max_iters,
+        options.damping_floor,
+        border,
     )
     q = np.asarray(gas.fast_q_of_A(Qfull))
     q[~op.free] = consts.c_e
-    field = SpeedField(grid=grid, Q=Qfull, q=q, residual_norm=norm, newton_iters=iters)
+    field = SpeedField(
+        grid=op.grid, Q=Qfull, q=q, residual_norm=norm, newton_iters=iters
+    )
     _post_checks(field, consts)
     return field
 
@@ -548,8 +861,7 @@ def picard_T(
         grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux
     )
     Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-    Q0[~op.free] = a_ce
-    Qfull, _, _ = _newton_solve(
+    _, Qfull, _, _ = _newton_solve(
         op, Q0, options.tol, options.max_iters, options.damping_floor
     )
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))

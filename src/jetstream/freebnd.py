@@ -7,11 +7,15 @@ data: it is pinned by mass conservation through the inlet arc,
 
 ``inlet_defect`` measures the imbalance; it is strictly increasing in xi
 (stretching the channel slows the inlet, and 1/(q rho) grows as q drops), so
-``solve_outlet`` shoots for its root on [zeta, R0 c_l].  A positive defect
+``solve_outlet`` looks for its root on [zeta, R0 c_l].  A positive defect
 already at xi = zeta means the detachment point sits beyond the symmetric
 one (no solution); a negative defect at the solvability cap xi = R0 c_l
 means the inlet cannot carry the flux for so small a zeta (no solution).
 Both outcomes return a typed ``Nonexistence`` record instead of raising.
+Two fixed-xi solves at the ends decide this; between them xi is solved for
+together with the field by a bordered Newton solve (``fixedbvp``), in
+passes that end on ``build_grid(zeta, xi)``.  A bracketed secant shoot on
+xi, one fixed-xi solve per shot, remains as the fallback should that fail.
 
 ``find_zeta_star`` locates the smallest solvable zeta by bisection,
 ``match_R`` picks zeta so the wetted wall has length R0 - R (matching a
@@ -32,8 +36,17 @@ from .errors import (
     LongNozzleError,
     NonconvergenceError,
     ShortNozzleError,
+    SingularSystemError,
 )
-from .fixedbvp import Grid, SolverOptions, SpeedField, build_grid, solve_fixed
+from .fixedbvp import (
+    SolverOptions,
+    SpeedField,
+    build_grid,
+    inlet_defect,
+    interp_onto,
+    shoot_tolerance,
+    solve_fixed,
+)
 from .gasdyn import DerivedConstants, FlowConfig, GasModel, derive_constants
 
 _MAX_SHOOT_ITERS = 80
@@ -51,8 +64,9 @@ class Nonexistence:
 
 @dataclass(frozen=True, eq=False)
 class FreeSolution:
-    """A solved free-boundary flow: the field plus its shot outlet potential
-    and the physical wall summary."""
+    """A solved free-boundary flow: the field plus its outlet potential and
+    the physical wall summary.  ``fallback`` marks a flow the secant shoot
+    found after the bordered Newton solve failed."""
 
     field: SpeedField
     zeta: float
@@ -60,6 +74,7 @@ class FreeSolution:
     inlet_defect: float
     wall_length: float
     r_equiv: float
+    fallback: bool = False
 
     @property
     def sup_phi(self) -> float:
@@ -117,28 +132,13 @@ class SweepRow:
     message: str
 
 
-def inlet_defect(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> float:
-    """Mass-flux imbalance of the inlet arc: integral of 1/(q rho) minus
-    R0 * vartheta.  Zero (to shooting tolerance) for a true free solution."""
-    q0 = field.q[0, :]
-    integrand = 1.0 / (q0 * np.asarray(gas.rho(q0)))
-    return float(np.trapezoid(integrand, field.grid.psi_nodes)) - cfg.R0 * cfg.vartheta
-
-
 def _wall_length(field: SpeedField) -> float:
     iz = field.grid.zeta_index
     qw = field.q[: iz + 1, field.grid.n_psi]
     return float(np.trapezoid(1.0 / qw, field.grid.phi_nodes[: iz + 1]))
 
 
-def _interp_onto(phi_new: np.ndarray, grid_old: Grid, Q_old: np.ndarray) -> np.ndarray:
-    out = np.empty((len(phi_new), Q_old.shape[1]))
-    for j in range(Q_old.shape[1]):
-        out[:, j] = np.interp(phi_new, grid_old.phi_nodes, Q_old[:, j])
-    return out
-
-
-def _finish(field, zeta, xi, defect, cfg) -> FreeSolution:
+def _finish(field, zeta, xi, defect, cfg, fallback=False) -> FreeSolution:
     length = _wall_length(field)
     return FreeSolution(
         field=field,
@@ -147,6 +147,7 @@ def _finish(field, zeta, xi, defect, cfg) -> FreeSolution:
         inlet_defect=defect,
         wall_length=length,
         r_equiv=cfg.R0 - length,
+        fallback=fallback,
     )
 
 
@@ -157,16 +158,21 @@ def solve_outlet(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
 ) -> FreeSolution | Nonexistence:
-    """Shoot the outlet potential xi so the inlet carries exactly the mass
-    flux of the arc, for fixed detachment abscissa zeta.
+    """Solve for the outlet potential xi so the inlet carries exactly the
+    mass flux of the arc, for fixed detachment abscissa zeta.
 
-    Returns a FreeSolution, or a Nonexistence record when the defect has no
-    root on [zeta, R0 c_l] (see module docstring for the two branches).
+    Two endpoint shots, fixed-xi solves at xi = zeta and at the cap
+    xi = R0 c_l, decide existence: they return a Nonexistence record when
+    the defect has no root on [zeta, R0 c_l] (see module docstring for the
+    two branches).  Between them one bordered Newton solve
+    (``solve_fixed(..., free_xi=True)``) takes xi as an unknown, starting at
+    the secant point of the two end defects from the nearer end's field; it
+    runs in passes until it ends on ``build_grid(zeta, xi)`` with the Newton
+    tolerance and |defect| <= shoot_tol met.  Should it fail, the bracketed
+    secant shoot on xi finds the root instead (``FreeSolution.fallback``).
     """
     options = options or SolverOptions()
-    shoot_tol = options.shoot_tol
-    if shoot_tol is None:
-        shoot_tol = 1e-8 * cfg.R0 * cfg.vartheta
+    shoot_tol = shoot_tolerance(options, cfg)
     cap = consts.zeta_cap
     if zeta >= cap * (1.0 - 1e-12):
         return Nonexistence(
@@ -179,8 +185,12 @@ def solve_outlet(
             ),
         )
 
-    def shoot(xi, warm=None):
-        field = solve_fixed(zeta, xi, cfg, gas, consts, options, x0=warm)
+    def shoot(xi, donor=None, free_xi=False):
+        warm = None
+        if donor is not None:
+            grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
+            warm = interp_onto(grid.phi_nodes, donor.grid, donor.Q)
+        field = solve_fixed(zeta, xi, cfg, gas, consts, options, x0=warm, free_xi=free_xi)
         return field, inlet_defect(field, gas, cfg)
 
     lo = zeta
@@ -199,8 +209,7 @@ def solve_outlet(
             ),
         )
     hi = cap
-    grid_hi = build_grid(zeta, hi, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
-    field_hi, d_hi = shoot(hi, warm=_interp_onto(grid_hi.phi_nodes, field_lo.grid, field_lo.Q))
+    field_hi, d_hi = shoot(hi, field_lo)
     if abs(d_hi) <= shoot_tol:
         return _finish(field_hi, zeta, hi, d_hi, cfg)
     if d_hi < -shoot_tol:
@@ -216,29 +225,44 @@ def solve_outlet(
         )
 
     # Bracketed root: d_lo < -tol < tol < d_hi, defect increasing in xi.
+    # Unlike the shoot below, the start need not stay 5% inside the bracket:
+    # the defect is close to linear in xi, and a root close to zeta (nearly
+    # symmetric detachment) is then reached without squeezing the grid's
+    # segment [zeta, xi] by a large factor in one pass.
+    x = _secant_point(lo, d_lo, hi, d_hi, margin=1e-6)
+    try:
+        field, d = shoot(x, field_lo if (x - lo) <= (hi - x) else field_hi, free_xi=True)
+    except (NonconvergenceError, SingularSystemError, ConstraintError):
+        d = math.inf
+    if abs(d) <= shoot_tol:
+        return _finish(field, zeta, field.grid.xi, d, cfg)
+
     f_lo, f_hi = field_lo, field_hi
     d = d_hi
     for _ in range(_MAX_SHOOT_ITERS):
-        x = lo - d_lo * (hi - lo) / (d_hi - d_lo)
-        width = hi - lo
-        x = min(max(x, lo + 0.05 * width), hi - 0.05 * width)
-        donor = f_lo if (x - lo) <= (hi - x) else f_hi
-        grid_x = build_grid(zeta, x, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
-        warm = _interp_onto(grid_x.phi_nodes, donor.grid, donor.Q)
-        field, d = shoot(x, warm=warm)
+        x = _secant_point(lo, d_lo, hi, d_hi)
+        field, d = shoot(x, f_lo if (x - lo) <= (hi - x) else f_hi)
         if abs(d) <= shoot_tol:
-            return _finish(field, zeta, x, d, cfg)
+            return _finish(field, zeta, x, d, cfg, fallback=True)
         if d < 0.0:
             lo, d_lo, f_lo = x, d, field
         else:
             hi, d_hi, f_hi = x, d, field
         if hi - lo <= 1e-13 * cap:
-            return _finish(field, zeta, x, d, cfg)
+            return _finish(field, zeta, x, d, cfg, fallback=True)
     raise NonconvergenceError(
         f"outlet shooting did not meet |defect| <= {shoot_tol:.3e} in "
         f"{_MAX_SHOOT_ITERS} iterations (last defect {d:.3e})",
         estimate=d,
     )
+
+
+def _secant_point(lo, d_lo, hi, d_hi, margin=0.05):
+    """Secant root of the defect on [lo, hi], kept ``margin`` of the width
+    inside the bracket."""
+    x = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+    width = hi - lo
+    return min(max(x, lo + margin * width), hi - margin * width)
 
 
 # ---------------------------------------------------------------------------

@@ -188,35 +188,52 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12) -> float:
     return sign * math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
 
 
-def banded_matvec(sys: BandedSystem, x: np.ndarray) -> np.ndarray:
-    """A @ x for a matrix in band storage (used for residual verification)."""
-    n, l, u, ab = sys.n, sys.l, sys.u, sys.ab
-    y = np.zeros(n)
-    for r in range(l + u + 1):
-        d = u - r  # diagonal offset j - i
+def _band_rows(sys: BandedSystem) -> list:
+    """(offset j - i, stored diagonal) for every band row holding a nonzero.
+
+    Rows that are entirely zero contribute nothing to a product with a
+    finite vector or to a row sum, so skipping them is exact; the five-point
+    Newton matrices fill 5 of their 2 n_psi + 3 band rows.
+    """
+    occupied = np.flatnonzero(sys.ab.any(axis=1))
+    return [(sys.u - int(r), sys.ab[r]) for r in occupied]
+
+
+def banded_matvec(
+    sys: BandedSystem, x: np.ndarray, rows: list | None = None
+) -> np.ndarray:
+    """A @ x for a matrix in band storage, x of shape (n,) or (n, k).
+    ``rows`` is ``_band_rows(sys)`` when the caller already has it."""
+    n = sys.n
+    y = np.zeros(x.shape)
+    for d, diag in _band_rows(sys) if rows is None else rows:
+        if x.ndim == 2:
+            diag = diag[:, None]
+        # entries A[i, i+d] = ab[u-d, i+d]
         if d >= 0:
-            # entries A[i, i+d] = ab[r, i+d], i = 0 .. n-1-d
-            y[: n - d] += ab[r, d:] * x[d:]
+            y[: n - d] += diag[d:] * x[d:]
         else:
-            y[-d:] += ab[r, : n + d] * x[: n + d]
+            y[-d:] += diag[: n + d] * x[: n + d]
     return y
 
 
 def solve_banded(sys: BandedSystem) -> np.ndarray:
     """Solve the banded system by LU with partial pivoting confined to the band.
 
-    Backed by LAPACK's banded driver.  The solution is verified by an explicit
-    residual check: ||Ax - b|| <= 1e-10 * max(1, ||b||) for well-conditioned
-    systems, relaxing to the backward-stability scale eps*(||A|| ||x|| + ||b||)
-    when the system is large in norm; a zero pivot or a failed check raises
-    SingularSystemError.
+    Backed by LAPACK's banded solver gbsv.  ``rhs`` is a vector (n,) or a
+    block of right-hand sides (n, k) that share one factorization.  Every
+    solution column is verified by an explicit residual check:
+    ||Ax - b|| <= 1e-10 * max(1, ||b||) for well-conditioned systems,
+    relaxing to the backward-stability scale eps*(||A|| ||x|| + ||b||) when
+    the system is large in norm; a zero pivot or a failed check in any column
+    raises SingularSystemError.
     """
     if sys.ab.shape != (sys.l + sys.u + 1, sys.n):
         raise ConstraintError(
             f"band storage shape {sys.ab.shape} does not match "
             f"(l+u+1, n) = ({sys.l + sys.u + 1}, {sys.n})"
         )
-    if sys.rhs.shape != (sys.n,):
+    if sys.rhs.ndim not in (1, 2) or sys.rhs.shape[0] != sys.n:
         raise ConstraintError(f"rhs shape {sys.rhs.shape} does not match n={sys.n}")
     try:
         x = scipy.linalg.solve_banded(
@@ -226,29 +243,33 @@ def solve_banded(sys: BandedSystem) -> np.ndarray:
         raise SingularSystemError(f"banded factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("banded solve produced non-finite entries")
-    rnorm = float(np.linalg.norm(banded_matvec(sys, x) - sys.rhs, ord=np.inf))
-    norm_b = float(np.linalg.norm(sys.rhs, ord=np.inf))
+    rows = _band_rows(sys)
+    # Column-wise infinity norms (scalars for a single right-hand side).
+    rnorm = np.max(np.abs(banded_matvec(sys, x, rows) - sys.rhs), axis=0)
+    norm_b = np.max(np.abs(sys.rhs), axis=0)
     # Row sums of |A| give ||A||_inf without leaving band storage.
     rowsum = np.zeros(sys.n)
-    for r in range(sys.l + sys.u + 1):
-        d = sys.u - r
+    for d, diag in rows:
         if d >= 0:
-            rowsum[: sys.n - d] += np.abs(sys.ab[r, d:])
+            rowsum[: sys.n - d] += np.abs(diag[d:])
         else:
-            rowsum[-d:] += np.abs(sys.ab[r, : sys.n + d])
+            rowsum[-d:] += np.abs(diag[: sys.n + d])
     norm_A = float(rowsum.max())
-    norm_x = float(np.max(np.abs(x)))
+    norm_x = np.max(np.abs(x), axis=0)
     # Well-conditioned systems meet the tight bound; beyond it, accept
     # anything backward-stable and flag the rest as numerically singular.
     eps = float(np.finfo(float).eps)
-    bound = max(
-        1e-10 * max(1.0, norm_b),
+    bound = np.maximum(
+        1e-10 * np.maximum(1.0, norm_b),
         1e3 * eps * (norm_A * norm_x + norm_b),
     )
-    if rnorm > bound:
+    rnorm, bound = np.atleast_1d(rnorm), np.atleast_1d(bound)
+    bad = np.flatnonzero(rnorm > bound)
+    if bad.size:
+        col = int(bad[0])
         raise SingularSystemError(
-            f"banded solve residual {rnorm:.3e} exceeds bound {bound:.3e} "
-            "(system is numerically singular or badly conditioned)"
+            f"banded solve residual {rnorm[col]:.3e} exceeds bound {bound[col]:.3e} "
+            f"in column {col} (system is numerically singular or badly conditioned)"
         )
     return x
 

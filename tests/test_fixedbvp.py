@@ -7,7 +7,7 @@ import pytest
 
 import jetstream as js
 import oracle_data as od
-from jetstream import errors, numerics
+from jetstream import errors, fixedbvp, numerics
 from jetstream.fixedbvp import _Operator, newton_q_floor
 
 
@@ -164,6 +164,52 @@ def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
     jv = -numerics.banded_matvec(sys, v)  # matrix is M = -J
     denom = np.max(np.abs(jv))
     assert np.max(np.abs(jv - jv_fd)) / denom < 1e-6
+
+
+@pytest.mark.parametrize(
+    "zeta, xi, side",
+    [(0.06, 0.11, None), (0.001, 0.15, "right"), (0.1, 0.1003, "left")],
+    ids=["uniform", "graded-right", "graded-left"],
+)
+def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
+    # The residual at fixed nodal values, as a function of xi with the
+    # grid's cell counts held fixed, against its analytic xi-derivative.
+    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16)
+    assert grid.layout[2] == side
+    op = _Operator(grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
+    Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, od.M_FLUX)
+    Qfull[~op.free] = od.A_CE
+    F = gas.fast_F_of_A(Qfull)
+    g = op.dr_dxi(Qfull, F)
+    h = 1e-7 * xi
+    r = [
+        op.on(
+            js.build_grid(zeta, x, od.M_FLUX, 32, 16, layout=grid.layout)
+        ).residual(Qfull)
+        for x in (xi + h, xi - h)
+    ]
+    fd = (r[0] - r[1]) / (2.0 * h)
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
+
+
+def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
+    # c.z with z = M^-1 dr/dxi, at a converged fixed-xi field, against the
+    # slope of inlet_defect between two solves on the same cell split.
+    zeta, xi = 0.6 * consts.zeta_hat, 0.11
+    f = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64)
+    op = _Operator(f.grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
+    system = op.newton_matrix(f.Q)
+    system.rhs = op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q))
+    z = numerics.solve_banded(system)
+    border = fixedbvp._Border(zeta, consts.zeta_cap, 1e-9, 64, 32, gas, cfg)
+    slope = border.gradient_dot(f.q[0, :], z, f.grid)
+    h = 1e-4 * xi
+    fields = [js.solve_fixed(zeta, x, cfg, gas, consts, opts64) for x in (xi + h, xi - h)]
+    assert all(g.grid.layout == f.grid.layout for g in (f, *fields))
+    d = [js.inlet_defect(g, gas, cfg) for g in fields]
+    fd = (d[0] - d[1]) / (2.0 * h)
+    assert slope > 0.0
+    assert abs(slope - fd) <= 1e-3 * abs(fd)
 
 
 def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):

@@ -7,7 +7,7 @@ import pytest
 
 import jetstream as js
 import oracle_data as od
-from jetstream import errors, freebnd
+from jetstream import errors, freebnd, numerics
 
 
 def _constant_field(gas, grid, q_value):
@@ -68,6 +68,64 @@ def test_asymmetric_shoot_properties(asym_free, consts):
     assert abs(asym_free.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
     assert od.R_HAT < asym_free.r_equiv < od.R0
     assert asym_free.sup_phi == asym_free.xi
+
+
+# xi and r_equiv of solve_outlet at commit 7be6648, where an outer secant
+# shoot on xi ran a full fixed-xi solve per shot.
+_SECANT_ANSWERS = [
+    (0.3, 128, 0.1401693448027569, 0.9542048409848127),
+    (0.6, 128, 0.11435050222271577, 0.9032221624051132),
+    (0.9, 128, 0.10501686909617874, 0.8547992861797566),
+    (1e-3, 64, 0.17239813387998956, 0.9998694041125288),
+    (1.0 - 8e-4, 128, 0.10445018335180253, 0.8406505955370823),
+]
+
+
+@pytest.mark.parametrize(
+    "frac, n_phi, xi_ref, r_ref",
+    _SECANT_ANSWERS,
+    ids=["0.3", "0.6", "0.9", "floor-graded", "near-symmetric"],
+)
+def test_bordered_outlet_keeps_the_secant_answers(gas, cfg, consts, frac, n_phi, xi_ref, r_ref):
+    zeta = frac * consts.zeta_hat
+    opts = js.SolverOptions(n_phi=n_phi, n_psi=n_phi // 2)
+    sol = js.solve_outlet(zeta, cfg, gas, consts, opts)
+    assert isinstance(sol, js.FreeSolution)
+    assert not sol.fallback
+    assert abs(sol.xi - xi_ref) <= 1e-7
+    assert abs(sol.r_equiv - r_ref) <= 1e-7
+    assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
+    assert sol.inlet_defect == js.inlet_defect(sol.field, gas, cfg)
+    assert sol.field.grid.xi == sol.xi
+    grid = js.build_grid(zeta, sol.xi, od.M_FLUX, n_phi, n_phi // 2)
+    assert np.array_equal(sol.field.grid.phi_nodes, grid.phi_nodes)
+
+
+def test_bordered_outlet_factorizes_less_than_the_secant_shoot(gas, cfg, consts, opts128):
+    # The secant shoot of commit 7be6648 factorized 26 times here.
+    with mock.patch.object(
+        numerics, "solve_banded", wraps=numerics.solve_banded
+    ) as lu:
+        sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts128)
+    assert isinstance(sol, js.FreeSolution)
+    assert lu.call_count <= 0.7 * 26
+
+
+def test_outlet_falls_back_to_the_secant_shoot(gas, cfg, consts, opts64):
+    # A bordered solve that fails hands over to the secant shoot on xi,
+    # which still meets the defect tolerance.
+    solve_fixed = freebnd.solve_fixed
+
+    def no_bordered(*args, free_xi=False, **kwargs):
+        if free_xi:
+            raise errors.NonconvergenceError("bordered solve refused")
+        return solve_fixed(*args, **kwargs)
+
+    with mock.patch.object(freebnd, "solve_fixed", no_bordered):
+        sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts64)
+    assert isinstance(sol, js.FreeSolution)
+    assert sol.fallback
+    assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
 
 
 def test_nonexistence_beyond_symmetric_detachment(gas, cfg, consts, opts64):

@@ -1,5 +1,7 @@
 """Numerical kernels: root finding, quadrature, banded solves, power fits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,40 @@ def test_solve_banded_singular_raises():
     sys = numerics.BandedSystem(n, 1, 1, ab, np.ones(n))
     with pytest.raises(errors.SingularSystemError):
         numerics.solve_banded(sys)
+
+
+def test_solve_banded_two_columns_match_single_columns():
+    rng = np.random.default_rng(5)
+    sys = _random_banded(rng, 60, 4, 3)
+    b0, b1 = sys.rhs.copy(), rng.uniform(-1.0, 1.0, sys.n)
+    singles = []
+    for b in (b0, b1):
+        sys.rhs = b
+        singles.append(numerics.solve_banded(sys))
+    sys.rhs = np.column_stack([b0, b1])
+    both = numerics.solve_banded(sys)
+    assert both.shape == (sys.n, 2)
+    for col, x in enumerate(singles):
+        assert np.max(np.abs(both[:, col] - x)) <= 1e-14 * np.max(np.abs(x))
+    assert np.max(np.abs(numerics.banded_matvec(sys, both) - sys.rhs)) < 1e-12
+
+
+def test_solve_banded_rejects_a_corrupted_column():
+    # The residual check runs per column: a wrong second column is caught
+    # even though the first one is exact.
+    rng = np.random.default_rng(9)
+    sys = _random_banded(rng, 40, 3, 2)
+    sys.rhs = np.column_stack([sys.rhs, rng.uniform(-1.0, 1.0, sys.n)])
+    lapack = numerics.scipy.linalg.solve_banded
+
+    def corrupted(*args, **kwargs):
+        x = lapack(*args, **kwargs)
+        x[7, 1] += 1e-6
+        return x
+
+    with mock.patch.object(numerics.scipy.linalg, "solve_banded", corrupted):
+        with pytest.raises(errors.SingularSystemError, match="column 1"):
+            numerics.solve_banded(sys)
 
 
 def test_fit_power_exponent_recovers_planted_law():
