@@ -530,11 +530,21 @@ def inlet_defect(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> float:
     return _mass_defect(field.q[0, :], field.grid.psi_nodes, gas, cfg)
 
 
-def interp_onto(phi_new: np.ndarray, grid_old: Grid, Q_old: np.ndarray) -> np.ndarray:
-    """Q_old carried onto new phi nodes, linearly along each psi line."""
-    out = np.empty((len(phi_new), Q_old.shape[1]))
-    for j in range(Q_old.shape[1]):
-        out[:, j] = np.interp(phi_new, grid_old.phi_nodes, Q_old[:, j])
+def interp_onto(grid_new: Grid, grid_old: Grid, Q_old: np.ndarray) -> np.ndarray:
+    """Q_old, given on grid_old's nodes, carried onto grid_new's nodes by
+    tensor-linear interpolation: along phi on each psi line of grid_old,
+    then along psi on each phi line of grid_new.  A direction whose nodes
+    match is not interpolated, so matching grids return a copy of Q_old."""
+    out = np.array(Q_old, dtype=float)
+    if not np.array_equal(grid_new.phi_nodes, grid_old.phi_nodes):
+        out = np.stack(
+            [np.interp(grid_new.phi_nodes, grid_old.phi_nodes, col) for col in out.T],
+            axis=1,
+        )
+    if not np.array_equal(grid_new.psi_nodes, grid_old.psi_nodes):
+        out = np.stack(
+            [np.interp(grid_new.psi_nodes, grid_old.psi_nodes, row) for row in out]
+        )
     return out
 
 
@@ -646,7 +656,7 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
                         f"{_MAX_PASSES} passes (xi = {op.grid.xi:.10g})",
                         estimate=norm,
                     )
-                Qfull = interp_onto(target.phi_nodes, op.grid, Qfull)
+                Qfull = interp_onto(target, op.grid, Qfull)
                 op = op.on(target)
                 Qfull, F, r, norm, tol_eff, D, q0, scale = start(op, Qfull)
                 settled = False
@@ -701,6 +711,15 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
                 f"(tol {tol_eff:.3e})",
                 estimate=norm,
             )
+        if border is not None and accepted[-1] == 0.0 and norm <= tol_eff:
+            # Q already solves the problem at this xi and the xi step was
+            # refused (it leaves (zeta, xi_max) or fails its line search):
+            # fixed-xi steps cannot reduce the defect.
+            raise NonconvergenceError(
+                f"bordered Newton stalled at xi = {op.grid.xi:.10g} with "
+                f"defect {D:.3e}: the xi step is refused",
+                estimate=D,
+            )
         op, Qfull, F, r, norm, D, q0, step_xi = accepted
         del accepted  # a regrid can then free this grid's operator
         settled = step_xi <= _PASS_SETTLED * op.grid.xi
@@ -736,7 +755,8 @@ def solve_fixed(
     (|inlet_defect| <= shoot_tol, the bordered row of the module docstring).
     Each Newton step moves Q and xi together on the starting grid's cell
     counts; once a pass settles on an xi whose own ``build_grid`` counts
-    differ, the field is carried onto that grid and the next pass starts.
+    differ, the field is carried onto that grid (``interp_onto``) and the
+    next pass starts.
     The returned field's grid is ``build_grid(zeta, xi*)`` node for node;
     the caller reads xi* from ``field.grid.xi``.  No settling within a few
     passes raises NonconvergenceError.

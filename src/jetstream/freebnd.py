@@ -17,6 +17,14 @@ together with the field by a bordered Newton solve (``fixedbvp``), in
 passes that end on ``build_grid(zeta, xi)``.  A bracketed secant shoot on
 xi, one fixed-xi solve per shot, remains as the fallback should that fail.
 
+Grids of at least 128x64 cells start from the solution one grid coarser
+(nested iteration): the same zeta is solved with half the cells in each
+direction, down to 64x32, and its flow starts one bordered solve on the
+requested grid.  When that solve meets the acceptance above, no endpoint
+shot runs on the requested grid.  A coarse answer is only a starting
+guess: every ``Nonexistence`` verdict comes from the endpoint shots on the
+requested grid, which run whenever the coarse start does not give a flow.
+
 ``find_zeta_star`` locates the smallest solvable zeta by bisection,
 ``match_R`` picks zeta so the wetted wall has length R0 - R (matching a
 nozzle of radius R), and ``sweep_zeta`` tabulates the family.
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -161,17 +169,48 @@ def solve_outlet(
     """Solve for the outlet potential xi so the inlet carries exactly the
     mass flux of the arc, for fixed detachment abscissa zeta.
 
+    On a grid with a coarser level (``_coarser``) the same zeta is first
+    solved there, recursively, and its flow, carried onto
+    ``build_grid(zeta, xi_c)``, starts one bordered Newton solve
+    (``solve_fixed(..., free_xi=True)``; a fixed-xi solve when xi_c == zeta).
+    Its result is returned when it meets the acceptance below.  The coarse
+    answer is only a starting guess: when the coarser level finds no flow,
+    raises, or the solve from its start fails, the path below runs as if
+    there were no coarser level.
+
     Two endpoint shots, fixed-xi solves at xi = zeta and at the cap
     xi = R0 c_l, decide existence: they return a Nonexistence record when
     the defect has no root on [zeta, R0 c_l] (see module docstring for the
-    two branches).  Between them one bordered Newton solve
-    (``solve_fixed(..., free_xi=True)``) takes xi as an unknown, starting at
-    the secant point of the two end defects from the nearer end's field; it
-    runs in passes until it ends on ``build_grid(zeta, xi)`` with the Newton
-    tolerance and |defect| <= shoot_tol met.  Should it fail, the bracketed
-    secant shoot on xi finds the root instead (``FreeSolution.fallback``).
+    two branches); no verdict comes from a coarser grid.  Between them one
+    bordered Newton solve takes xi as an unknown, starting at the secant
+    point of the two end defects from the nearer end's field.  Either
+    bordered solve runs in passes until it ends on ``build_grid(zeta, xi)``
+    with the Newton tolerance and |defect| <= shoot_tol met.  Should the
+    second one fail, the bracketed secant shoot on xi finds the root instead
+    (``FreeSolution.fallback``); a bracket that collapses without meeting
+    the tolerance raises NonconvergenceError.
     """
-    options = options or SolverOptions()
+    return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions())
+
+
+#: The coarsest level of the coarse start.  At 64x32 cells and below a
+#: Newton step's cost is Python overhead rather than the banded LU, so a
+#: coarser level saves no time: five classify_radius runs at 64x32 took
+#: 2.7-3.0 s with a 32x16 level and 2.9 s without (2 vCPUs).
+_COARSEST = (64, 32)
+
+
+def _coarser(options: SolverOptions) -> SolverOptions | None:
+    """The options with half the cells in each direction, or None when that
+    grid would have fewer cells than ``_COARSEST`` in either direction."""
+    n_phi, n_psi = options.n_phi // 2, options.n_psi // 2
+    if n_phi < _COARSEST[0] or n_psi < _COARSEST[1]:
+        return None
+    return replace(options, n_phi=n_phi, n_psi=n_psi)
+
+
+def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistence:
+    """``solve_outlet`` on one level; calls itself for the coarser level."""
     shoot_tol = shoot_tolerance(options, cfg)
     cap = consts.zeta_cap
     if zeta >= cap * (1.0 - 1e-12):
@@ -189,9 +228,20 @@ def solve_outlet(
         warm = None
         if donor is not None:
             grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
-            warm = interp_onto(grid.phi_nodes, donor.grid, donor.Q)
+            warm = interp_onto(grid, donor.grid, donor.Q)
         field = solve_fixed(zeta, xi, cfg, gas, consts, options, x0=warm, free_xi=free_xi)
         return field, inlet_defect(field, gas, cfg)
+
+    coarser = _coarser(options)
+    if coarser is not None:
+        try:
+            start = _solve_outlet(zeta, cfg, gas, consts, coarser)
+            if isinstance(start, FreeSolution):
+                field, d = shoot(start.xi, start.field, free_xi=start.xi > zeta)
+                if abs(d) <= shoot_tol:
+                    return _finish(field, zeta, field.grid.xi, d, cfg)
+        except (NonconvergenceError, SingularSystemError, ConstraintError):
+            pass
 
     lo = zeta
     field_lo, d_lo = shoot(lo)
@@ -249,7 +299,12 @@ def solve_outlet(
         else:
             hi, d_hi, f_hi = x, d, field
         if hi - lo <= 1e-13 * cap:
-            return _finish(field, zeta, x, d, cfg, fallback=True)
+            raise NonconvergenceError(
+                f"outlet shooting bracket collapsed at xi = {x:.15g} with "
+                f"|defect| = {abs(d):.3e} above {shoot_tol:.3e}: the discrete "
+                "defect has no root there",
+                estimate=d,
+            )
     raise NonconvergenceError(
         f"outlet shooting did not meet |defect| <= {shoot_tol:.3e} in "
         f"{_MAX_SHOOT_ITERS} iterations (last defect {d:.3e})",

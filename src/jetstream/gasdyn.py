@@ -158,15 +158,13 @@ class GasModel:
 @dataclass(frozen=True)
 class FlowConfig:
     """Nozzle/jet data: inlet radius R0, wall half-angle vartheta, stream mass
-    m, and the exit condition as either a speed c_e or a pressure P_e.
-    R, if given, is the requested jet radius for the matching problem."""
+    m, and the exit condition as either a speed c_e or a pressure P_e."""
 
     R0: float
     vartheta: float
     m: float
     c_e: float | None = None
     P_e: float | None = None
-    R: float | None = None
 
     def __post_init__(self):
         if not self.R0 > 0.0:

@@ -110,6 +110,44 @@ def test_build_grid_validation():
 
 
 # ---------------------------------------------------------------------------
+# interp_onto
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        ((0.05, 0.1, 64, 32), (0.05, 0.1, 128, 64)),  # the coarse start
+        ((0.05, 0.1, 64, 32), (0.05, 0.104, 64, 32)),  # a regrid in xi
+        ((0.001, 0.17, 64, 32), (0.001, 0.172, 128, 64)),  # graded right
+    ],
+    ids=["refine", "move-xi", "graded"],
+)
+def test_interp_onto_is_exact_on_bilinear_fields(coarse, fine):
+    # Tensor-linear interpolation reproduces a + b phi + c psi + d phi psi
+    # wherever the new nodes lie inside the old grid.
+    old = js.build_grid(coarse[0], coarse[1], od.M_FLUX, coarse[2], coarse[3])
+    new = js.build_grid(fine[0], fine[1], od.M_FLUX, fine[2], fine[3])
+
+    def field(grid):
+        P, S = np.meshgrid(grid.phi_nodes, grid.psi_nodes, indexing="ij")
+        return 0.3 + 2.0 * P - 1.5 * S + 7.0 * P * S
+
+    out = fixedbvp.interp_onto(new, old, field(old))
+    inside = new.phi_nodes <= old.xi
+    assert out.shape == (new.n_phi + 1, new.n_psi + 1)
+    assert np.max(np.abs(out[inside] - field(new)[inside])) <= 1e-14
+
+
+def test_interp_onto_matching_nodes_returns_the_input():
+    grid = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32)
+    twin = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32)
+    Q = np.random.default_rng(3).uniform(0.1, 0.2, (65, 33))
+    out = fixedbvp.interp_onto(twin, grid, Q)
+    assert np.array_equal(out, Q)
+    assert out is not Q
+
+
+# ---------------------------------------------------------------------------
 # Residual operator
 
 
@@ -278,6 +316,23 @@ def test_solve_fixed_field_structure(asym_free, gas, consts):
 def test_solve_fixed_rejects_xi_beyond_cap(gas, cfg, consts, opts64):
     with pytest.raises(errors.ConstraintError):
         js.solve_fixed(0.05, 1.1 * consts.zeta_cap, cfg, gas, consts, opts64)
+
+
+def test_bordered_solve_stops_when_xi_cannot_move(gas):
+    # On the tight configuration this zeta has no root below the cap: the
+    # bordered step would leave (zeta, R0 c_l).  Once the field has
+    # converged at the last xi the solve raises instead of taking fixed-xi
+    # steps until max_iters.
+    cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+    consts = js.derive_constants(gas, cfg)
+    opts = js.SolverOptions(n_phi=64, n_psi=32)
+    with mock.patch.object(
+        numerics, "solve_banded", wraps=numerics.solve_banded
+    ) as lu, pytest.raises(errors.NonconvergenceError, match="xi step is refused"):
+        js.solve_fixed(
+            0.212, (1.0 - 1e-6) * consts.zeta_cap, cfg, gas, consts, opts, free_xi=True
+        )
+    assert lu.call_count <= 20
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,117 @@ def test_outlet_falls_back_to_the_secant_shoot(gas, cfg, consts, opts64):
     assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
 
 
+def test_secant_bracket_collapse_raises(gas, cfg, consts, opts64):
+    # A defect that steps over zero without a root: the secant shoot
+    # squeezes its bracket to nothing and must raise, not return a flow
+    # whose defect misses the tolerance.
+    solve_fixed = freebnd.solve_fixed
+    step_at = 0.5 * (0.6 * consts.zeta_hat + consts.zeta_cap)
+
+    def no_bordered(*args, free_xi=False, **kwargs):
+        if free_xi:
+            raise errors.NonconvergenceError("bordered solve refused")
+        return solve_fixed(*args, **kwargs)
+
+    def step_defect(field, gas, cfg):
+        return -1.0 if field.grid.xi < step_at else 1.0
+
+    with mock.patch.object(freebnd, "solve_fixed", no_bordered), mock.patch.object(
+        freebnd, "inlet_defect", step_defect
+    ):
+        with pytest.raises(errors.NonconvergenceError, match="collapsed"):
+            js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts64)
+
+
+# ---------------------------------------------------------------------------
+# Coarse start
+
+
+def test_coarse_levels_halve_down_to_64x32():
+    ladder = {}
+    for n_phi, n_psi in [(512, 128), (128, 64), (128, 32), (64, 32)]:
+        opts, levels = js.SolverOptions(n_phi=n_phi, n_psi=n_psi), []
+        while opts is not None:
+            levels.append((opts.n_phi, opts.n_psi))
+            opts = freebnd._coarser(opts)
+        ladder[n_phi, n_psi] = levels
+    assert ladder == {
+        (512, 128): [(512, 128), (256, 64), (128, 32)],
+        (128, 64): [(128, 64), (64, 32)],
+        (128, 32): [(128, 32)],
+        (64, 32): [(64, 32)],
+    }
+
+
+def _record_solves():
+    """Patches recording each solve_fixed call's (n_phi, n_psi, free_xi) and
+    each banded solve's unknown count."""
+    solves, unknowns = [], []
+    solve_fixed, solve_banded = freebnd.solve_fixed, numerics.solve_banded
+
+    def fixed(*args, free_xi=False, **kwargs):
+        options = args[5]
+        solves.append((options.n_phi, options.n_psi, free_xi))
+        return solve_fixed(*args, free_xi=free_xi, **kwargs)
+
+    def banded(system, *args, **kwargs):
+        unknowns.append(system.n)
+        return solve_banded(system, *args, **kwargs)
+
+    patches = (
+        mock.patch.object(freebnd, "solve_fixed", fixed),
+        mock.patch.object(numerics, "solve_banded", banded),
+    )
+    return solves, unknowns, patches
+
+
+def test_coarse_start_skips_the_fine_endpoint_shots(gas, cfg, consts, opts128):
+    solves, unknowns, (fixed, banded) = _record_solves()
+    with fixed, banded:
+        sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts128)
+    assert isinstance(sol, js.FreeSolution)
+    assert not sol.fallback
+    # Only the bordered solve ran at 128x64; the endpoint shots ran at 64x32.
+    assert [s for s in solves if s[0] == 128] == [(128, 64, True)]
+    assert (64, 32, False) in solves
+    # A 128x64 grid has at least 128 * 64 free nodes, the 64x32 level at
+    # most (2 * 64 + 1) * 33 (graded grids keep <= 2 n_phi cells).
+    assert sum(1 for n in unknowns if n >= 128 * 64) <= 5
+
+
+@pytest.mark.parametrize("coarse", ["nonexistence", "raises"])
+def test_coarse_verdict_never_decides(gas, cfg, consts, opts128, coarse):
+    # A coarser level that finds no flow, or fails, only costs its start:
+    # the 128x64 endpoint shots and bordered solve give the same flow.
+    zeta = 0.6 * consts.zeta_hat
+    ref = js.solve_outlet(zeta, cfg, gas, consts, opts128)
+    one_level = freebnd._solve_outlet
+
+    def coarse_fails(zeta, cfg, gas, consts, options):
+        if options.n_phi < opts128.n_phi:
+            if coarse == "raises":
+                raise errors.NonconvergenceError("coarse level refused")
+            return freebnd.Nonexistence(zeta, "outlet-cap-bound", -1.0, "patched")
+        return one_level(zeta, cfg, gas, consts, options)
+
+    solves, _, (fixed, banded) = _record_solves()
+    with mock.patch.object(freebnd, "_solve_outlet", coarse_fails), fixed, banded:
+        sol = js.solve_outlet(zeta, cfg, gas, consts, opts128)
+    assert isinstance(sol, js.FreeSolution)
+    assert (128, 64, False) in solves  # the fine endpoint shots ran
+    assert abs(sol.xi - ref.xi) <= 1e-12
+    assert abs(sol.r_equiv - ref.r_equiv) <= 1e-12
+    assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
+
+
+def test_64x32_solve_has_no_coarser_level(gas, cfg, consts, opts64):
+    solves, _, (fixed, banded) = _record_solves()
+    with fixed, banded:
+        sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts64)
+    assert isinstance(sol, js.FreeSolution)
+    assert {s[:2] for s in solves} == {(64, 32)}
+
+
 def test_nonexistence_beyond_symmetric_detachment(gas, cfg, consts, opts64):
     res = js.solve_outlet(1.5 * consts.zeta_hat, cfg, gas, consts, opts64)
     assert isinstance(res, js.Nonexistence)
