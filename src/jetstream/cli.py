@@ -74,7 +74,6 @@ class RunConfig:
     R: float | None
     options: SolverOptions
     out_dir: str
-    formats: tuple[str, ...]
 
 
 @dataclass
@@ -114,7 +113,7 @@ _SCHEMA = {
         "shoot_tol": "float",
         "max_iters": "int",
     },
-    "outputs": {"directory": "str", "formats": "list"},
+    "outputs": {"directory": "str"},
 }
 
 
@@ -210,12 +209,6 @@ def load_config(path: str) -> RunConfig:
     directory = out_sec.get("directory", "out")
     if not isinstance(directory, str):
         raise ConfigError("outputs.directory must be a string")
-    formats = out_sec.get("formats", ["csv"])
-    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
-        raise ConfigError("outputs.formats must be a list of strings")
-    for f in formats:
-        if f != "csv":
-            raise ConfigError(f"unknown output format '{f}' (supported: csv)")
 
     return RunConfig(
         gamma=gamma,
@@ -223,7 +216,6 @@ def load_config(path: str) -> RunConfig:
         R=R,
         options=opts,
         out_dir=directory,
-        formats=tuple(formats),
     )
 
 
@@ -356,8 +348,7 @@ def cmd_solve_fixed(args) -> int:
     if abs(zeta - consts.zeta_hat) <= 1e-12 and abs(xi - zeta) <= 1e-12:
         summary.set("oracle_max_error", _sym_oracle_error(field, gas, rc.flow, consts))
     summary.time("solve", t1 - t0)
-    if "csv" in rc.formats:
-        _write_field_csv(out / "field.csv", field, angles.theta)
+    _write_field_csv(out / "field.csv", field, angles.theta)
     _emit_summary(summary, out)
     return _EXIT_OK
 
@@ -393,8 +384,7 @@ def cmd_solve_free(args) -> int:
         summary.set(
             "oracle_max_error", _sym_oracle_error(sol.field, gas, rc.flow, consts)
         )
-    if "csv" in rc.formats:
-        _write_field_csv(out / "field.csv", sol.field, angles.theta)
+    _write_field_csv(out / "field.csv", sol.field, angles.theta)
     _emit_summary(summary, out)
     return _EXIT_OK
 
@@ -431,15 +421,11 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     rows = sweep_zeta(args.n, rc.flow, gas, consts, rc.options, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
-    if "csv" in rc.formats:
-        _write_csv(
-            out / "sweep.csv",
-            ["zeta[-]", "xi[-]", "L[len]", "R_equiv[len]", "sup_phi[-]", "status", "message"],
-            (
-                (r.zeta, r.xi, r.wall_length, r.r_equiv, r.sup_phi, r.status, r.message)
-                for r in rows
-            ),
-        )
+    _write_csv(
+        out / "sweep.csv",
+        ["zeta[-]", "xi[-]", "L[len]", "R_equiv[len]", "status", "message"],
+        ((r.zeta, r.xi, r.wall_length, r.r_equiv, r.status, r.message) for r in rows),
+    )
     summary = _base_summary("sweep", rc, consts)
     summary.time("sweep", elapsed)
     summary.set("rows", len(rows))
@@ -493,13 +479,12 @@ def cmd_physmap(args) -> int:
     summary.set("geometry_failed", sum(1 for c in checks if not c.passed))
     for c in checks:
         summary.set(f"geometry.{c.name}", "PASS" if c.passed else "FAIL")
-    if "csv" in rc.formats:
-        _write_field_csv(out / "field.csv", sol.field, angles.theta)
-        _write_coords_csv(out / "coords.csv", sol.field, phys)
-        _write_curve_csv(out / "curves_inlet.csv", phys.inlet_curve)
-        _write_curve_csv(out / "curves_wall.csv", phys.wall_curve)
-        _write_curve_csv(out / "curves_free.csv", phys.free_streamline)
-        _write_curve_csv(out / "curves_outlet.csv", phys.outlet_curve)
+    _write_field_csv(out / "field.csv", sol.field, angles.theta)
+    _write_coords_csv(out / "coords.csv", sol.field, phys)
+    _write_curve_csv(out / "curves_inlet.csv", phys.inlet_curve)
+    _write_curve_csv(out / "curves_wall.csv", phys.wall_curve)
+    _write_curve_csv(out / "curves_free.csv", phys.free_streamline)
+    _write_curve_csv(out / "curves_outlet.csv", phys.outlet_curve)
     _emit_summary(summary, out)
     return _EXIT_OK
 

@@ -127,8 +127,6 @@ class SolverOptions:
     tol: float = 1e-10
     max_iters: int = 100
     shoot_tol: float | None = None  # None -> 1e-8 * R0 * vartheta
-    damping_floor: float = 2.0**-20
-    picard_max: int = 80
 
 
 def _graded(
@@ -508,6 +506,8 @@ class _Operator:
 #: once its xi step falls below this fraction of xi.
 _PASS_SETTLED = 1e-3
 _MAX_PASSES = 4
+#: Smallest damping of a fixed-xi Newton step before the line search stalls.
+_DAMPING_FLOOR = 2.0**-20
 #: Smallest damping of a bordered step before the fixed-xi step is taken.
 _BORDERED_DAMPING_FLOOR = 2.0**-6
 
@@ -788,7 +788,7 @@ def solve_fixed(
         Q0,
         options.tol,
         options.max_iters,
-        options.damping_floor,
+        _DAMPING_FLOOR,
         border,
     )
     q = np.asarray(gas.fast_q_of_A(Qfull))
@@ -882,7 +882,7 @@ def picard_T(
     )
     Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
     _, Qfull, _, _ = _newton_solve(
-        op, Q0, options.tol, options.max_iters, options.damping_floor
+        op, Q0, options.tol, options.max_iters, _DAMPING_FLOOR
     )
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))
 

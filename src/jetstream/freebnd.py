@@ -13,9 +13,10 @@ one (no solution); a negative defect at the solvability cap xi = R0 c_l
 means the inlet cannot carry the flux for so small a zeta (no solution).
 Both outcomes return a typed ``Nonexistence`` record instead of raising.
 Two fixed-xi solves at the ends decide this; between them xi is solved for
-together with the field by a bordered Newton solve (``fixedbvp``), in
-passes that end on ``build_grid(zeta, xi)``.  A bracketed secant shoot on
-xi, one fixed-xi solve per shot, remains as the fallback should that fail.
+together with the field by one bordered Newton solve (``fixedbvp``), in
+passes that end on ``build_grid(zeta, xi)``.  The paper's flow is unique for
+each zeta, so the defect has one root and there is no second search: when
+that solve fails, ``solve_outlet`` raises NonconvergenceError.
 
 Grids of at least 128x64 cells start from the solution one grid coarser
 (nested iteration): the same zeta is solved with half the cells in each
@@ -55,7 +56,7 @@ from .fixedbvp import (
     shoot_tolerance,
     solve_fixed,
 )
-from .gasdyn import DerivedConstants, FlowConfig, GasModel, derive_constants
+from .gasdyn import DerivedConstants, FlowConfig, GasModel
 
 _MAX_SHOOT_ITERS = 80
 
@@ -73,8 +74,7 @@ class Nonexistence:
 @dataclass(frozen=True, eq=False)
 class FreeSolution:
     """A solved free-boundary flow: the field plus its outlet potential and
-    the physical wall summary.  ``fallback`` marks a flow the secant shoot
-    found after the bordered Newton solve failed."""
+    the physical wall summary."""
 
     field: SpeedField
     zeta: float
@@ -82,11 +82,6 @@ class FreeSolution:
     inlet_defect: float
     wall_length: float
     r_equiv: float
-    fallback: bool = False
-
-    @property
-    def sup_phi(self) -> float:
-        return self.xi
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ class SweepRow:
     xi: float
     wall_length: float
     r_equiv: float
-    sup_phi: float
     status: str  # "ok" | "no-solution" | "error"
     message: str
 
@@ -146,7 +140,7 @@ def _wall_length(field: SpeedField) -> float:
     return float(np.trapezoid(1.0 / qw, field.grid.phi_nodes[: iz + 1]))
 
 
-def _finish(field, zeta, xi, defect, cfg, fallback=False) -> FreeSolution:
+def _finish(field, zeta, xi, defect, cfg) -> FreeSolution:
     length = _wall_length(field)
     return FreeSolution(
         field=field,
@@ -155,7 +149,6 @@ def _finish(field, zeta, xi, defect, cfg, fallback=False) -> FreeSolution:
         inlet_defect=defect,
         wall_length=length,
         r_equiv=cfg.R0 - length,
-        fallback=fallback,
     )
 
 
@@ -186,9 +179,8 @@ def solve_outlet(
     point of the two end defects from the nearer end's field.  Either
     bordered solve runs in passes until it ends on ``build_grid(zeta, xi)``
     with the Newton tolerance and |defect| <= shoot_tol met.  Should the
-    second one fail, the bracketed secant shoot on xi finds the root instead
-    (``FreeSolution.fallback``); a bracket that collapses without meeting
-    the tolerance raises NonconvergenceError.
+    second one raise or miss that tolerance, NonconvergenceError is raised
+    (chained from the bordered solve's error) naming zeta and the bracket.
     """
     return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions())
 
@@ -275,49 +267,34 @@ def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistenc
         )
 
     # Bracketed root: d_lo < -tol < tol < d_hi, defect increasing in xi.
-    # Unlike the shoot below, the start need not stay 5% inside the bracket:
-    # the defect is close to linear in xi, and a root close to zeta (nearly
-    # symmetric detachment) is then reached without squeezing the grid's
-    # segment [zeta, xi] by a large factor in one pass.
-    x = _secant_point(lo, d_lo, hi, d_hi, margin=1e-6)
+    # The start need not stay well inside the bracket: the defect is close to
+    # linear in xi, and a root close to zeta (nearly symmetric detachment) is
+    # then reached without squeezing the grid's segment [zeta, xi] by a large
+    # factor in one pass.
+    x = _secant_point(lo, d_lo, hi, d_hi)
+    where = (
+        f"the bordered outlet solve at zeta = {zeta:.8g}, started at "
+        f"xi = {x:.10g} inside the bracket [{lo:.10g}, {hi:.10g}] "
+        f"(defects {d_lo:.3e}, {d_hi:.3e})"
+    )
     try:
         field, d = shoot(x, field_lo if (x - lo) <= (hi - x) else field_hi, free_xi=True)
-    except (NonconvergenceError, SingularSystemError, ConstraintError):
-        d = math.inf
-    if abs(d) <= shoot_tol:
-        return _finish(field, zeta, field.grid.xi, d, cfg)
-
-    f_lo, f_hi = field_lo, field_hi
-    d = d_hi
-    for _ in range(_MAX_SHOOT_ITERS):
-        x = _secant_point(lo, d_lo, hi, d_hi)
-        field, d = shoot(x, f_lo if (x - lo) <= (hi - x) else f_hi)
-        if abs(d) <= shoot_tol:
-            return _finish(field, zeta, x, d, cfg, fallback=True)
-        if d < 0.0:
-            lo, d_lo, f_lo = x, d, field
-        else:
-            hi, d_hi, f_hi = x, d, field
-        if hi - lo <= 1e-13 * cap:
-            raise NonconvergenceError(
-                f"outlet shooting bracket collapsed at xi = {x:.15g} with "
-                f"|defect| = {abs(d):.3e} above {shoot_tol:.3e}: the discrete "
-                "defect has no root there",
-                estimate=d,
-            )
-    raise NonconvergenceError(
-        f"outlet shooting did not meet |defect| <= {shoot_tol:.3e} in "
-        f"{_MAX_SHOOT_ITERS} iterations (last defect {d:.3e})",
-        estimate=d,
-    )
+    except (NonconvergenceError, SingularSystemError, ConstraintError) as err:
+        raise NonconvergenceError(f"{where} failed: {err}") from err
+    if not abs(d) <= shoot_tol:
+        raise NonconvergenceError(
+            f"{where} ended with |defect| = {abs(d):.3e} above {shoot_tol:.3e}",
+            estimate=d,
+        )
+    return _finish(field, zeta, field.grid.xi, d, cfg)
 
 
-def _secant_point(lo, d_lo, hi, d_hi, margin=0.05):
-    """Secant root of the defect on [lo, hi], kept ``margin`` of the width
-    inside the bracket."""
+def _secant_point(lo, d_lo, hi, d_hi):
+    """Secant root of the defect on [lo, hi], kept 1e-6 of the width inside
+    the bracket."""
     x = lo - d_lo * (hi - lo) / (d_hi - d_lo)
     width = hi - lo
-    return min(max(x, lo + margin * width), hi - margin * width)
+    return min(max(x, lo + 1e-6 * width), hi - 1e-6 * width)
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +520,15 @@ def _worker_gas(gamma: float) -> GasModel:
 
 
 def _sweep_one(args):
-    (gamma, r0, vartheta, m, c_e, p_e, zeta, n_phi, n_psi, tol, shoot_tol) = args
+    gamma, cfg, consts, options, zeta = args
     gas = _worker_gas(gamma)
-    cfg = FlowConfig(R0=r0, vartheta=vartheta, m=m, c_e=c_e, P_e=p_e)
-    consts = derive_constants(gas, cfg)
-    options = SolverOptions(n_phi=n_phi, n_psi=n_psi, tol=tol, shoot_tol=shoot_tol)
     try:
         sol = solve_outlet(zeta, cfg, gas, consts, options)
     except (NonconvergenceError, ConstraintError) as err:
-        return SweepRow(zeta, math.nan, math.nan, math.nan, math.nan, "error", str(err))
+        return SweepRow(zeta, math.nan, math.nan, math.nan, "error", str(err))
     if isinstance(sol, Nonexistence):
-        return SweepRow(
-            zeta, math.nan, math.nan, math.nan, math.nan, "no-solution", sol.reason
-        )
-    return SweepRow(
-        zeta, sol.xi, sol.wall_length, sol.r_equiv, sol.sup_phi, "ok", ""
-    )
+        return SweepRow(zeta, math.nan, math.nan, math.nan, "no-solution", sol.reason)
+    return SweepRow(zeta, sol.xi, sol.wall_length, sol.r_equiv, "ok", "")
 
 
 def sweep_zeta(
@@ -588,22 +558,7 @@ def sweep_zeta(
             f"sweep floor must lie in (0, zeta_hat), got {floor}"
         )
     zetas = np.geomspace(floor, consts.zeta_hat, count)
-    argsets = [
-        (
-            gas.gamma,
-            cfg.R0,
-            cfg.vartheta,
-            cfg.m,
-            cfg.c_e,
-            cfg.P_e,
-            float(z),
-            options.n_phi,
-            options.n_psi,
-            options.tol,
-            options.shoot_tol,
-        )
-        for z in zetas
-    ]
+    argsets = [(gas.gamma, cfg, consts, options, float(z)) for z in zetas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_one, argsets))

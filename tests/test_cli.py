@@ -65,6 +65,11 @@ def test_unknown_key_exits_2_with_dotted_path(tmp_path):
     res = _run("solve-fixed", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert res.returncode == 2
     assert "outputs.turbo" in res.stderr
+    # CSV is always written; the key that once selected it is gone.
+    cfg = _write_config(tmp_path, extra="  formats: [csv]\n")
+    res = _run("solve-fixed", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "outputs.formats" in res.stderr
 
 
 def test_unknown_subcommand_exits_2(tmp_path):
@@ -149,7 +154,7 @@ def test_sweep_table(tmp_path):
     res = _run("sweep", "--config", str(cfg), "--n", "4", "--out", str(out))
     assert res.returncode == 0, res.stderr
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "zeta[-],xi[-],L[len],R_equiv[len],sup_phi[-],status,message"
+    assert lines[0] == "zeta[-],xi[-],L[len],R_equiv[len],status,message"
     assert len(lines) == 5
     xis = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(a > b for a, b in zip(xis, xis[1:]))

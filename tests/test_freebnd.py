@@ -67,7 +67,6 @@ def test_asymmetric_shoot_properties(asym_free, consts):
     assert asym_free.zeta < asym_free.xi < consts.zeta_cap
     assert abs(asym_free.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
     assert od.R_HAT < asym_free.r_equiv < od.R0
-    assert asym_free.sup_phi == asym_free.xi
 
 
 # xi and r_equiv of solve_outlet at commit 7be6648, where an outer secant
@@ -91,7 +90,6 @@ def test_bordered_outlet_keeps_the_secant_answers(gas, cfg, consts, frac, n_phi,
     opts = js.SolverOptions(n_phi=n_phi, n_psi=n_phi // 2)
     sol = js.solve_outlet(zeta, cfg, gas, consts, opts)
     assert isinstance(sol, js.FreeSolution)
-    assert not sol.fallback
     assert abs(sol.xi - xi_ref) <= 1e-7
     assert abs(sol.r_equiv - r_ref) <= 1e-7
     assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
@@ -111,43 +109,25 @@ def test_bordered_outlet_factorizes_less_than_the_secant_shoot(gas, cfg, consts,
     assert lu.call_count <= 0.7 * 26
 
 
-def test_outlet_falls_back_to_the_secant_shoot(gas, cfg, consts, opts64):
-    # A bordered solve that fails hands over to the secant shoot on xi,
-    # which still meets the defect tolerance.
+def test_failed_bordered_solve_raises_without_a_second_search(gas, cfg, consts, opts64):
+    # The defect has one root in xi and one bordered solve looks for it:
+    # when that solve fails, solve_outlet raises after the two endpoint
+    # shots and the refused bordered solve, with no shot on xi after it.
+    calls = []
     solve_fixed = freebnd.solve_fixed
 
     def no_bordered(*args, free_xi=False, **kwargs):
+        calls.append(free_xi)
         if free_xi:
             raise errors.NonconvergenceError("bordered solve refused")
         return solve_fixed(*args, **kwargs)
 
     with mock.patch.object(freebnd, "solve_fixed", no_bordered):
-        sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts64)
-    assert isinstance(sol, js.FreeSolution)
-    assert sol.fallback
-    assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
-
-
-def test_secant_bracket_collapse_raises(gas, cfg, consts, opts64):
-    # A defect that steps over zero without a root: the secant shoot
-    # squeezes its bracket to nothing and must raise, not return a flow
-    # whose defect misses the tolerance.
-    solve_fixed = freebnd.solve_fixed
-    step_at = 0.5 * (0.6 * consts.zeta_hat + consts.zeta_cap)
-
-    def no_bordered(*args, free_xi=False, **kwargs):
-        if free_xi:
-            raise errors.NonconvergenceError("bordered solve refused")
-        return solve_fixed(*args, **kwargs)
-
-    def step_defect(field, gas, cfg):
-        return -1.0 if field.grid.xi < step_at else 1.0
-
-    with mock.patch.object(freebnd, "solve_fixed", no_bordered), mock.patch.object(
-        freebnd, "inlet_defect", step_defect
-    ):
-        with pytest.raises(errors.NonconvergenceError, match="collapsed"):
+        with pytest.raises(errors.NonconvergenceError, match="bordered solve refused") as exc:
             js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts64)
+    assert calls == [False, False, True]
+    assert isinstance(exc.value.__cause__, errors.NonconvergenceError)
+    assert "bracket" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +177,6 @@ def test_coarse_start_skips_the_fine_endpoint_shots(gas, cfg, consts, opts128):
     with fixed, banded:
         sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts128)
     assert isinstance(sol, js.FreeSolution)
-    assert not sol.fallback
     # Only the bordered solve ran at 128x64; the endpoint shots ran at 64x32.
     assert [s for s in solves if s[0] == 128] == [(128, 64, True)]
     assert (64, 32, False) in solves
@@ -387,6 +366,17 @@ def test_sweep_parallel_matches_serial(gas, cfg, consts, opts64):
         assert ra.zeta == rb.zeta
         assert ra.status == rb.status
         assert ra.xi == pytest.approx(rb.xi, abs=0.0)
+
+
+def test_sweep_honours_every_solver_option(gas, cfg, consts):
+    # Two Newton iterations solve no free problem here, so every row of the
+    # sweep fails as solve_outlet itself does with the same options.
+    opts = js.SolverOptions(n_phi=64, n_psi=32, max_iters=2)
+    with pytest.raises(errors.NonconvergenceError):
+        js.solve_outlet(0.5 * consts.zeta_hat, cfg, gas, consts, opts)
+    rows = js.sweep_zeta(3, cfg, gas, consts, opts, floor=0.5 * consts.zeta_hat)
+    assert [r.status for r in rows] == ["error"] * 3
+    assert all("2 iterations" in r.message for r in rows)
 
 
 def test_sweep_needs_three_points(gas, cfg, consts, opts64):
