@@ -34,6 +34,7 @@ from .gasdyn import (
     pressure,
 )
 from .symmetric import SymmetricSolution
+from .checks import Check
 from .fixedbvp import (
     Grid,
     SolverOptions,
@@ -59,7 +60,6 @@ from .freebnd import (
 )
 from .physmap import (
     AngleField,
-    GeometryCheck,
     PhysicalField,
     boundary_curves,
     geometry_checks,
@@ -71,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleField",
+    "Check",
     "ClassifyResult",
     "ConfigError",
     "ConstraintError",
@@ -79,7 +80,6 @@ __all__ = [
     "FoldOverError",
     "FreeSolution",
     "GasModel",
-    "GeometryCheck",
     "Grid",
     "JetstreamError",
     "LongNozzleError",

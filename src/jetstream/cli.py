@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .checks import Check, angle_check, check, field_checks
 from .errors import (
     ConfigError,
     ConstraintError,
@@ -34,7 +35,13 @@ from .errors import (
     ShortNozzleError,
     SingularSystemError,
 )
-from .fixedbvp import SolverOptions, SpeedField, corner_exponent, solve_fixed
+from .fixedbvp import (
+    SolverOptions,
+    SpeedField,
+    corner_exponent,
+    interp_onto,
+    solve_fixed,
+)
 from .freebnd import (
     FreeSolution,
     Nonexistence,
@@ -192,17 +199,14 @@ def load_config(path: str) -> RunConfig:
     flow = FlowConfig(**kwargs)
     R = _as_float(flow_sec["R"], "flow.R") if "R" in flow_sec else None
 
+    # Keys the config leaves out keep SolverOptions' own defaults.
     solver_sec = data.get("solver") or {}
+    parse = {"int": _as_int, "float": _as_float}
     opts = SolverOptions(
-        n_phi=_as_int(solver_sec.get("n_phi", 128), "solver.n_phi"),
-        n_psi=_as_int(solver_sec.get("n_psi", 64), "solver.n_psi"),
-        tol=_as_float(solver_sec.get("tol", 1e-10), "solver.tol"),
-        shoot_tol=(
-            _as_float(solver_sec["shoot_tol"], "solver.shoot_tol")
-            if "shoot_tol" in solver_sec
-            else None
-        ),
-        max_iters=_as_int(solver_sec.get("max_iters", 100), "solver.max_iters"),
+        **{
+            key: parse[_SCHEMA["solver"][key]](value, f"solver.{key}")
+            for key, value in solver_sec.items()
+        }
     )
 
     out_sec = data.get("outputs") or {}
@@ -474,11 +478,11 @@ def cmd_physmap(args) -> int:
     summary.set("theta_discrepancy", angles.discrepancy)
     summary.set("theta_estimate", angles.estimate)
     summary.set("mass_flux_out", phys.mass_flux_out)
-    checks = geometry_checks(phys, angles, sol.field, gas, rc.flow, consts, R=radius)
+    checks = geometry_checks(phys, angles, sol.field, gas, rc.flow, R=radius)
     summary.set("geometry_checks", len(checks))
     summary.set("geometry_failed", sum(1 for c in checks if not c.passed))
     for c in checks:
-        summary.set(f"geometry.{c.name}", "PASS" if c.passed else "FAIL")
+        summary.set(f"geometry.{c.name}", c.status)
     _write_field_csv(out / "field.csv", sol.field, angles.theta)
     _write_coords_csv(out / "coords.csv", sol.field, phys)
     _write_curve_csv(out / "curves_inlet.csv", phys.inlet_curve)
@@ -493,27 +497,8 @@ def cmd_physmap(args) -> int:
 # Verification battery.
 
 
-@dataclass
-class _Check:
-    name: str
-    status: str  # PASS | FAIL | SKIPPED
-    measured: float | None
-    tolerance: float | None
-
-
-def _check(rows, name, measured, tolerance):
-    rows.append(
-        _Check(
-            name,
-            "PASS" if measured <= tolerance else "FAIL",
-            float(measured),
-            float(tolerance),
-        )
-    )
-
-
-def _verify_battery(rc: RunConfig, inject: str) -> list[_Check]:
-    rows: list[_Check] = []
+def _verify_battery(rc: RunConfig, inject: str) -> list[Check]:
+    rows: list[Check] = []
     gas = GasModel(rc.gamma)
     cfg = rc.flow
     consts = derive_constants(gas, cfg)
@@ -523,42 +508,38 @@ def _verify_battery(rc: RunConfig, inject: str) -> list[_Check]:
     # Gas-model round trips through the exact quadrature paths.
     qs = rng.uniform(0.05 * gas.c_star, 0.999 * gas.c_star, size=8)
     err = max(abs(flux_A_inverse(gas, flux_A(gas, q)) - q) for q in qs)
-    _check(rows, "gas_A_roundtrip", err, 1e-10)
+    rows.append(check("gas_A_roundtrip", err, 1e-10))
     qs2 = rng.uniform(0.05 * gas.c_star, 0.95 * gas.c_star, size=8)
     err = max(abs(mass_flux_inverse(gas, mass_flux(gas, q)) - q) for q in qs2)
-    _check(rows, "gas_j_roundtrip", err, 1e-10)
+    rows.append(check("gas_j_roundtrip", err, 1e-10))
     grid_q = np.linspace(1e-3 * gas.c_star, (1.0 - 1e-9) * gas.c_star, 2001)
-    _check(rows, "flux_A_monotone", -float(np.diff(gas.fast_A(grid_q)).min()), 0.0)
-    _check(rows, "flux_B_monotone", -float(np.diff(gas.fast_B(grid_q)).min()), 0.0)
+    rows.append(check("flux_A_monotone", -float(np.diff(gas.fast_A(grid_q)).min()), 0.0))
+    rows.append(check("flux_B_monotone", -float(np.diff(gas.fast_B(grid_q)).min()), 0.0))
 
     # Scalar identities of the derived constants.
     a_ce = flux_A(gas, consts.c_e)
     ident = float(gas.rho(consts.c_l)) * (a_ce - flux_A(gas, consts.c_l))
-    _check(rows, "c_l_identity", abs(ident - 1.0), 1e-10)
+    rows.append(check("c_l_identity", abs(ident - 1.0), 1e-10))
     ident = cfg.m / (consts.c_m * float(gas.rho(consts.c_m)))
-    _check(rows, "c_m_identity", abs(ident - cfg.R0 * cfg.vartheta), 1e-10)
+    rows.append(check("c_m_identity", abs(ident - cfg.R0 * cfg.vartheta), 1e-10))
 
     # Symmetric oracle.
     sym = SymmetricSolution(gas, cfg, consts)
-    _check(
-        rows,
-        "sym_wall_length",
-        abs(sym.sym_wall_length() - (cfg.R0 - consts.R_hat)),
-        1e-8,
+    rows.append(
+        check("sym_wall_length", abs(sym.sym_wall_length() - (cfg.R0 - consts.R_hat)), 1e-8)
     )
     sym_field = solve_fixed(consts.zeta_hat, consts.zeta_hat, cfg, gas, consts, opts)
-    _check(
-        rows,
-        "sym_field_oracle",
-        _sym_oracle_error(sym_field, gas, cfg, consts),
-        1e-7,
+    rows.append(
+        check("sym_field_oracle", _sym_oracle_error(sym_field, gas, cfg, consts), 1e-7)
     )
     sym_sol = solve_outlet(consts.zeta_hat, cfg, gas, consts, opts)
     if isinstance(sym_sol, FreeSolution):
         h_phi = consts.zeta_hat / opts.n_phi
-        _check(rows, "sym_outlet_shoot", abs(sym_sol.xi - consts.zeta_hat), 2.0 * h_phi)
+        rows.append(
+            check("sym_outlet_shoot", abs(sym_sol.xi - consts.zeta_hat), 2.0 * h_phi)
+        )
     else:
-        rows.append(_Check("sym_outlet_shoot", "FAIL", math.inf, 0.0))
+        rows.append(check("sym_outlet_shoot", math.inf, 0.0))
 
     # Defect monotonicity in xi and the two-xi comparison ordering.
     zeta_probe = 0.6 * consts.zeta_hat
@@ -566,24 +547,22 @@ def _verify_battery(rc: RunConfig, inject: str) -> list[_Check]:
     xis = np.linspace(zeta_probe + 0.05 * (cap - zeta_probe), cap - 0.05 * (cap - zeta_probe), 5)
     fields = [solve_fixed(zeta_probe, float(x), cfg, gas, consts, opts) for x in xis]
     defects = [inlet_defect(f, gas, cfg) for f in fields]
-    _check(rows, "defect_monotone", -float(np.diff(defects).min()), 0.0)
+    rows.append(check("defect_monotone", -float(np.diff(defects).min()), 0.0))
     f_lo, f_hi = fields[1], fields[3]
-    q_hi_interp = np.empty_like(f_lo.q)
-    for j in range(f_lo.q.shape[1]):
-        q_hi_interp[:, j] = np.interp(
-            f_lo.grid.phi_nodes, f_hi.grid.phi_nodes, f_hi.q[:, j]
+    q_hi_interp = interp_onto(f_lo.grid, f_hi.grid, f_hi.q)
+    rows.append(
+        check(
+            "comparison_xi",
+            float((q_hi_interp - f_lo.q).max()),
+            1e-8
+            + 50.0 * (np.max(np.diff(f_lo.grid.phi_nodes)) ** 2 + (cfg.m / opts.n_psi) ** 2),
         )
-    _check(
-        rows,
-        "comparison_xi",
-        float((q_hi_interp - f_lo.q).max()),
-        1e-8 + 50.0 * (np.max(np.diff(f_lo.grid.phi_nodes)) ** 2 + (cfg.m / opts.n_psi) ** 2),
     )
 
     # Free solve at the probe zeta: bounds, monotonicity, corner, angles.
     sol = solve_outlet(zeta_probe, cfg, gas, consts, opts)
     if not isinstance(sol, FreeSolution):
-        rows.append(_Check("free_solve_probe", "FAIL", math.inf, 0.0))
+        rows.append(check("free_solve_probe", math.inf, 0.0))
         return rows
     field = sol.field
     if inject == "monotone":
@@ -591,40 +570,37 @@ def _verify_battery(rc: RunConfig, inject: str) -> list[_Check]:
         i, j = field.grid.n_phi // 2, field.grid.n_psi // 2
         qt[i, j], qt[i + 1, j] = qt[i + 1, j], qt[i, j]
         field = replace(field, q=qt)
-    _check(rows, "field_bounds_lower", consts.c_l - float(field.q[1:-1, 1:-1].min()), 1e-6)
-    _check(rows, "field_bounds_upper", float(field.q.max()) - consts.c_e, 1e-9)
-    _check(rows, "field_monotone_phi", -float(np.diff(field.q, axis=0).min()), 1e-8)
-    _check(rows, "field_monotone_psi", -float(np.diff(field.q, axis=1).min()), 1e-8)
+    rows += field_checks(field, consts)
 
     try:
         expo = corner_exponent(sol.field)
-        _check(rows, "corner_exponent", abs(expo - 0.475), 0.075)
+        rows.append(check("corner_exponent", abs(expo - 0.475), 0.075))
     except ConstraintError:
-        rows.append(_Check("corner_exponent", "SKIPPED", None, None))
+        rows.append(Check("corner_exponent", None, None))
 
     try:
         angles = recover_theta(field, gas, cfg)
     except NonconvergenceError as err:
-        rows.append(_Check("theta_consistency", "FAIL", err.estimate or math.inf, 0.0))
+        rows.append(check("theta_consistency", err.estimate or math.inf, 0.0))
         return rows
-    theta = angles.theta
     if inject == "theta":
-        theta = theta.copy()
+        theta = angles.theta.copy()
         theta[field.grid.zeta_index // 2, -1] += 0.1
-        angles = replace(angles, theta=theta)
-        disc = float(np.max(np.abs(angles.theta - angles.theta_cross)))
-        angles = replace(angles, discrepancy=disc)
-    _check(rows, "theta_consistency", angles.discrepancy, 10.0 * angles.estimate)
+        disc = float(np.max(np.abs(theta - angles.theta_cross)))
+        angles = replace(angles, theta=theta, discrepancy=disc)
+    rows.append(angle_check(angles.discrepancy, angles.estimate))
 
     try:
         phys = reconstruct(field, angles, cfg, gas)
     except FoldOverError:
-        rows.append(_Check("geom_fold_over", "FAIL", math.inf, 0.0))
+        rows.append(check("geom_fold_over", math.inf, 0.0))
         return rows
-    for c in geometry_checks(phys, angles, field, gas, cfg, consts, R=rc.R):
-        rows.append(
-            _Check("geom_" + c.name, "PASS" if c.passed else "FAIL", c.measured, c.tolerance)
-        )
+    # The probe flow is matched to no radius, so the wall endpoint radius
+    # is left to ``physmap --radius``.
+    rows += [
+        replace(c, name="geom_" + c.name)
+        for c in geometry_checks(phys, angles, field, gas, cfg)
+    ]
     return rows
 
 

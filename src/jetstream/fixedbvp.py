@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .checks import field_checks, require
 from .errors import ConstraintError, NonconvergenceError, SingularSystemError
 from .gasdyn import (
     DerivedConstants,
@@ -349,11 +350,6 @@ class _Operator:
         return _Operator(
             grid, self.gas, self.cfg, self.a_ce, self.q_floor, self.fixed_inlet_flux
         )
-
-    def expand(self, vec):
-        Qfull = np.full((self.grid.n_phi + 1, self.grid.n_psi + 1), self.a_ce)
-        Qfull[self.free] = vec
-        return Qfull
 
     def _robin_flux(self, QC_inlet):
         """Inlet face flux: G(Q) = 1/(R0 q rho(q^2)), or the prescribed profile."""
@@ -746,9 +742,9 @@ def solve_fixed(
     The initial iterate is the linear subsolution
     Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)) unless ``x0`` provides a
     warm start of matching shape.  The converged field satisfies the Dirichlet
-    data exactly, stays inside [A(c_l), A(c_e)] (admissible configurations),
-    and is monotone in both coordinates to 1e-8.  ``newton_iters`` counts
-    the factorizations.
+    data exactly, and must pass ``checks.field_checks`` (the speed bounds
+    c_l <= q <= c_e and monotonicity in both coordinates, on every node) or
+    ConstraintError is raised.  ``newton_iters`` counts the factorizations.
 
     With ``free_xi`` the given xi is only the starting value of the outlet
     potential, which becomes one more unknown pinned by the inlet mass flux
@@ -796,26 +792,8 @@ def solve_fixed(
     field = SpeedField(
         grid=op.grid, Q=Qfull, q=q, residual_norm=norm, newton_iters=iters
     )
-    _post_checks(field, consts)
+    require(field_checks(field, consts))
     return field
-
-
-def _post_checks(field: SpeedField, consts: DerivedConstants):
-    q = field.q
-    if consts.admissible:
-        if float(q.min()) < consts.c_l - 1e-6:
-            raise ConstraintError(
-                f"speed fell below c_l by {consts.c_l - float(q.min()):.3e}"
-            )
-    if float(q.max()) > consts.c_e + 1e-9:
-        raise ConstraintError(
-            f"speed exceeded c_e by {float(q.max()) - consts.c_e:.3e}"
-        )
-    slack = 1e-8
-    if field.grid.n_phi >= 2 and float(np.diff(q, axis=0).min()) < -slack:
-        raise ConstraintError("speed lost monotonicity along phi")
-    if field.grid.n_psi >= 2 and float(np.diff(q, axis=1).min()) < -slack:
-        raise ConstraintError("speed lost monotonicity along psi")
 
 
 def assemble_residual(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.ndarray:

@@ -22,8 +22,10 @@ psi-direction relations are reserved as checks.  ``reconstruct`` verifies
 every cell of the image mesh has positive orientation and raises
 FoldOverError at the first folded cell.  ``geometry_checks`` audits the
 reconstructed flow against the facts the continuum solution must satisfy
-(straight axis and wall, circular inlet, angle range, speed bounds, monotone
-convex free streamline and outlet curve, mass balance) without raising.
+(straight axis and wall, circular inlet, angle range, monotone convex free
+streamline and outlet curve, mass balance) without raising; the speed
+bounds belong to the field, which ``solve_fixed`` has already checked
+(``checks.field_checks``).
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .checks import Check, angle_check, check
 from .errors import FoldOverError, NonconvergenceError
 from .fixedbvp import Grid, SpeedField
-from .gasdyn import DerivedConstants, FlowConfig, GasModel
+from .gasdyn import FlowConfig, GasModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +72,6 @@ class PhysicalField:
     free_streamline: np.ndarray
     outlet_curve: np.ndarray
     mass_flux_out: float
-
-
-@dataclass(frozen=True)
-class GeometryCheck:
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -130,9 +125,9 @@ def _inlet_arclength(field: SpeedField, gas: GasModel) -> np.ndarray:
 def recover_theta(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> AngleField:
     """Integrate the flow angle along both coordinate paths.
 
-    Raises NonconvergenceError if the cross-path discrepancy exceeds 10x the
-    combined truncation/residual estimate (a discrete incompatibility of the
-    field with the angle system)."""
+    Raises NonconvergenceError if the cross-path discrepancy fails
+    ``checks.angle_check``, 10x the combined truncation/residual estimate
+    (a discrete incompatibility of the field with the angle system)."""
     grid = field.grid
     phi, psi = grid.phi_nodes, grid.psi_nodes
     dQdphi = _dQ_dphi(field, gas, cfg)
@@ -163,7 +158,7 @@ def recover_theta(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> AngleFie
     e_resid = field.residual_norm * grid.xi * grid.m
     estimate = max(e_quad_psi + e_quad_phi + e_sten_phi + e_sten_psi + e_resid, 1e-14)
 
-    if discrepancy > 10.0 * estimate:
+    if not angle_check(discrepancy, estimate).passed:
         raise NonconvergenceError(
             f"angle integration paths disagree by {discrepancy:.3e}, beyond "
             f"10x the truncation/residual estimate {estimate:.3e}",
@@ -250,9 +245,8 @@ def geometry_checks(
     field: SpeedField,
     gas: GasModel,
     cfg: FlowConfig,
-    consts: DerivedConstants,
     R: float | None = None,
-) -> list[GeometryCheck]:
+) -> list[Check]:
     """Audit the reconstructed flow against the exact geometric facts.
 
     Tolerances separate exact-by-construction identities (roundoff level)
@@ -261,15 +255,13 @@ def geometry_checks(
     alongside the passing ones, each with its measured value and tolerance.
     """
     grid = field.grid
-    checks: list[GeometryCheck] = []
+    checks: list[Check] = []
     h_bar = float(np.max(np.diff(grid.phi_nodes)))
     k = float(grid.psi_nodes[1] - grid.psi_nodes[0])
     disc = (h_bar**2 + k**2) * cfg.R0
 
     def add(name, measured, tolerance):
-        checks.append(
-            GeometryCheck(name, bool(measured <= tolerance), float(measured), float(tolerance))
-        )
+        checks.append(check(name, measured, tolerance))
 
     # Inlet arc is seeded on the circle; any drift means a seeding bug.
     radii = np.hypot(phys.inlet_curve[:, 0], phys.inlet_curve[:, 1])
@@ -302,12 +294,6 @@ def geometry_checks(
     # Angle range [-vartheta, 0] up to discretization.
     add("theta_min", -(float(angles.theta.min()) + t), 1e-8 + 100.0 * disc)
     add("theta_max", float(angles.theta.max()), 1e-10)
-
-    # Speed bounds on the open interior.
-    q_int = field.q[1:-1, 1:-1]
-    if consts.admissible:
-        add("speed_lower", consts.c_l - float(q_int.min()), 1e-6)
-    add("speed_upper", float(q_int.max()) - consts.c_e, 1e-10)
 
     # Free streamline: x strictly increasing, slope in (-tan vartheta, 0),
     # convex (nonnegative signed-curvature numerator along the curve).

@@ -199,7 +199,7 @@ def test_criterion_08_physical_geometry(
     ang_s = js.recover_theta(sym.field, gas, cfg)
     phys_s = js.reconstruct(sym.field, ang_s, cfg, gas)
     checks = {c.name: c for c in js.geometry_checks(
-        phys_s, ang_s, sym.field, gas, cfg, consts)}
+        phys_s, ang_s, sym.field, gas, cfg)}
     wall_c = checks["wall_collinearity"]
     inlet_c = checks["inlet_circularity"]
     assert wall_c.passed and wall_c.measured <= 1e-6 * cfg.R0

@@ -224,6 +224,22 @@ def test_verify_monotone_injection_caught(tmp_path):
     assert failed == ["field_monotone_phi", "field_monotone_psi"], failed
 
 
+def test_verify_with_flow_radius_passes(tmp_path):
+    # The battery's probe flow is matched to no radius, so flow.R must not
+    # be graded against it; that check belongs to physmap --radius.
+    cfg = _write_config(tmp_path, n_phi=64, n_psi=32)
+    cfg.write_text(
+        cfg.read_text().replace("  c_e: 0.8\n", "  c_e: 0.8\n  R: 0.92\n"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    res = _run("verify", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    report = (out / "verify.report").read_text()
+    assert "wall_endpoint_radius" not in report
+    assert "failed=0" in res.stdout
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 

@@ -132,9 +132,9 @@ def test_fold_over_detection(asym_free, gas, cfg):
 # Geometry checks
 
 
-def test_geometry_checks_all_pass_on_good_runs(asym_free, gas, cfg, consts):
+def test_geometry_checks_all_pass_on_good_runs(asym_free, gas, cfg):
     angles, phys = _recon(asym_free, gas, cfg)
-    checks = js.geometry_checks(phys, angles, asym_free.field, gas, cfg, consts)
+    checks = js.geometry_checks(phys, angles, asym_free.field, gas, cfg)
     failed = [c.name for c in checks if not c.passed]
     assert not failed, f"failing checks: {failed}"
     names = {c.name for c in checks}
@@ -153,11 +153,11 @@ def test_wall_endpoint_radius_check(gas, cfg, consts, opts64):
     R = 0.92
     sol = js.match_R(R, cfg, gas, consts, opts64)
     angles, phys = _recon(sol, gas, cfg)
-    checks = js.geometry_checks(phys, angles, sol.field, gas, cfg, consts, R=R)
+    checks = js.geometry_checks(phys, angles, sol.field, gas, cfg, R=R)
     by_name = {c.name: c for c in checks}
     assert "wall_endpoint_radius" in by_name
     assert by_name["wall_endpoint_radius"].passed
     # the same flow graded against the wrong radius must fail that check
-    wrong = js.geometry_checks(phys, angles, sol.field, gas, cfg, consts, R=0.7)
+    wrong = js.geometry_checks(phys, angles, sol.field, gas, cfg, R=0.7)
     by_name_wrong = {c.name: c for c in wrong}
     assert not by_name_wrong["wall_endpoint_radius"].passed
