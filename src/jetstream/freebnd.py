@@ -26,9 +26,11 @@ shot runs on the requested grid.  A coarse answer is only a starting
 guess: every ``Nonexistence`` verdict comes from the endpoint shots on the
 requested grid, which run whenever the coarse start does not give a flow.
 
-``find_zeta_star`` locates the smallest solvable zeta by bisection,
-``match_R`` picks zeta so the wetted wall has length R0 - R (matching a
-nozzle of radius R), and ``sweep_zeta`` tabulates the family.
+``find_zeta_star`` locates the smallest solvable zeta, deciding each probe
+by one fixed-xi shot at the cap, ``match_R`` picks zeta so the wetted wall
+has length R0 - R (matching a nozzle of radius R), and ``sweep_zeta``
+tabulates the family.  Both searches narrow a sign-change bracket with
+``numerics.shrink_bracket``, the Illinois method.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import numerics
 from .errors import (
     ConstraintError,
     LongNozzleError,
@@ -57,8 +60,6 @@ from .fixedbvp import (
     solve_fixed,
 )
 from .gasdyn import DerivedConstants, FlowConfig, GasModel
-
-_MAX_SHOOT_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ class FreeSolution:
 class ZetaStarResult:
     """Outcome of the minimal-detachment search.
 
-    floor_limited means every probed zeta down to the search floor was
-    solvable, so zeta_star is reported as 0.0; cap_binding means the
-    unsolvable side of the bracket failed because the outlet potential hit
-    the cap R0 c_l (for a floor-limited search: the outlet potential at the
-    floor already sits on the cap).  ``at_star`` is the solved flow at the
-    smallest solvable probe (the floor when floor-limited), ``at_hat`` the
-    one at zeta_hat when the search probed it (None when floor-limited).
+    floor_limited means the search floor itself was solvable, so zeta_star
+    is reported as 0.0; cap_binding means the unsolvable side of the final
+    bracket failed because the outlet potential hit the cap R0 c_l (for a
+    floor-limited search: the outlet potential at the floor already sits on
+    the cap).  ``at_star`` is the solved flow at zeta_star (the floor when
+    floor-limited), ``at_hat`` the one at zeta_hat when the search probed
+    it (None when floor-limited).
     """
 
     zeta_star: float
@@ -309,64 +310,90 @@ def find_zeta_star(
     floor: float | None = None,
     zeta_tol: float | None = None,
 ) -> ZetaStarResult:
-    """Bisect for the smallest detachment abscissa that still admits a flow.
+    """Find the smallest detachment abscissa that still admits a flow.
 
-    The search floor defaults to 1e-3 * zeta_hat: if even the floor is
-    solvable the result is reported as zeta_star = 0.0 with
+    One fixed-xi shot at the outlet cap decides each probe: the inlet
+    defect increases in xi, so zeta is solvable exactly when the cap shot's
+    defect d satisfies g(zeta) = d + shoot_tol >= 0, which is
+    ``solve_outlet``'s verdict on the same grid.  g increases in zeta, and
+    ``numerics.shrink_bracket`` (the Illinois method) narrows its sign
+    change on [floor, zeta_hat] to ``zeta_tol`` (default 1e-5 * zeta_hat),
+    each cap shot started through ``interp_onto`` from the cap field of the
+    nearer bracket end (the cap shot at zeta_hat from the flow solved
+    there).  zeta_star is the final bracket's solvable end.  ``solve_outlet``
+    then runs at both ends: its flow at zeta_star is ``at_star``, and its
+    Nonexistence just below gives ``cap_binding``.  Should either verdict
+    differ from the cap shot's, NonconvergenceError is raised.
+
+    The search floor defaults to 1e-3 * zeta_hat: if even the floor's cap
+    shot reads solvable the result is reported as zeta_star = 0.0 with
     ``floor_limited`` set (the family extends to arbitrarily small zeta as
-    far as this resolution can see).  Every call runs the search afresh; the
-    result carries the flows it solved at the lower end and at zeta_hat so
-    that callers (``match_R``, ``classify_radius``) reuse them instead of
-    solving them again.
+    far as this resolution can see).  Every call runs the search afresh;
+    the result carries the flows ``solve_outlet`` gives at the lower end
+    and at zeta_hat so that callers (``match_R``, ``classify_radius``)
+    reuse them instead of solving them again.
     """
     options = options or SolverOptions()
     if floor is None:
         floor = 1e-3 * consts.zeta_hat
     if zeta_tol is None:
-        zeta_tol = 1e-3 * consts.zeta_hat
+        zeta_tol = 1e-5 * consts.zeta_hat
+    shoot_tol = shoot_tolerance(options, cfg)
+    cap = consts.zeta_cap
+    cap_fields = {}
 
-    def probe(z):
-        return solve_outlet(z, cfg, gas, consts, options)
+    def cap_shot(zeta, donor=None):
+        warm = None
+        if donor is None and cap_fields:
+            donor = cap_fields[min(cap_fields, key=lambda z: abs(z - zeta))]
+        if donor is not None:
+            grid = build_grid(zeta, cap, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
+            warm = interp_onto(grid, donor.grid, donor.Q)
+        field = solve_fixed(zeta, cap, cfg, gas, consts, options, x0=warm)
+        cap_fields[zeta] = field
+        return inlet_defect(field, gas, cfg) + shoot_tol
 
-    sol_floor = probe(floor)
-    if isinstance(sol_floor, FreeSolution):
-        cap_binding = abs(sol_floor.xi - consts.zeta_cap) <= 1e-6 * consts.zeta_cap
+    def outlet(zeta, solvable):
+        # solve_outlet at a probed zeta; its verdict must be the cap shot's.
+        sol = solve_outlet(zeta, cfg, gas, consts, options)
+        if isinstance(sol, FreeSolution) != solvable:
+            raise NonconvergenceError(
+                f"the cap shot and solve_outlet disagree on whether "
+                f"zeta = {zeta:.10g} is solvable"
+            )
+        return sol
+
+    g_floor = cap_shot(floor)
+    if g_floor >= 0.0:
+        sol_floor = outlet(floor, True)
         return ZetaStarResult(
             zeta_star=0.0,
-            cap_binding=cap_binding,
+            cap_binding=abs(sol_floor.xi - cap) <= 1e-6 * cap,
             floor_limited=True,
             at_star=sol_floor,
             at_hat=None,
         )
-
-    lo = floor  # unsolvable
-    lo_reason = sol_floor.reason
-    hi = consts.zeta_hat  # solvable by the symmetric construction
-    sol_hat = probe(hi)
+    sol_hat = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
     if not isinstance(sol_hat, FreeSolution):
         raise NonconvergenceError(
             "the symmetric detachment abscissa itself failed to solve; "
             "resolution too coarse for this configuration"
         )
-    sol_hi = sol_hat
-    while hi - lo > zeta_tol:
-        mid = 0.5 * (lo + hi)
-        sol = probe(mid)
-        if isinstance(sol, FreeSolution):
-            hi, sol_hi = mid, sol
-        else:
-            lo, lo_reason = mid, sol.reason
-    if hi >= consts.zeta_hat:
+    g_hat = cap_shot(consts.zeta_hat, sol_hat.field)
+    br = numerics.shrink_bracket(
+        cap_shot, numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat), zeta_tol
+    )
+    if br.hi >= consts.zeta_hat:
         raise NonconvergenceError(
             "minimal-detachment search found nothing solvable strictly below "
             "the symmetric abscissa; the threshold must satisfy "
             "zeta_star < zeta_hat"
         )
     return ZetaStarResult(
-        zeta_star=hi,
-        cap_binding=lo_reason == "outlet-cap-bound",
+        zeta_star=br.hi,
+        cap_binding=outlet(br.lo, False).reason == "outlet-cap-bound",
         floor_limited=False,
-        at_star=sol_hi,
+        at_star=outlet(br.hi, True),
         at_hat=sol_hat,
     )
 
@@ -392,7 +419,9 @@ def match_R(
     Radii at or below R_hat raise LongNozzleError, radii at or above the
     achievable maximum raise ShortNozzleError; both carry (r_hat, r_star).
     ``zs`` is the minimal-detachment search for this configuration when the
-    caller already ran it; its solved endpoints bracket the match.
+    caller already ran it; its solved endpoints bracket the match.  Inside
+    that bracket ``numerics.shrink_bracket`` runs one ``solve_outlet`` per
+    step until |wall_length - (R0 - R)| <= match_tol.
     """
     options = options or SolverOptions()
     if not (0.0 < R < cfg.R0):
@@ -444,36 +473,33 @@ def match_R(
             r_star=r_star,
         )
 
-    # G(z) = s * (L(z) - target) is increasing in z with G(lo) < 0 < G(hi).
+    # G(z) = s * (L(z) - target) is increasing in z with G(lo) < 0 < G(hi);
+    # an unsolvable pocket at small zeta reads -inf, which moves the lower
+    # end up and makes the next probe the midpoint.
     s = 1.0 if increasing else -1.0
-    lo_z, hi_z = z_lo, consts.zeta_hat
-    G_lo = s * (sol_lo.wall_length - target)
-    G_hi = s * (sol_hi.wall_length - target)
-    for _ in range(_MAX_SHOOT_ITERS):
-        width = hi_z - lo_z
-        if math.isfinite(G_lo) and math.isfinite(G_hi):
-            z = lo_z - G_lo * width / (G_hi - G_lo)
-            z = min(max(z, lo_z + 0.02 * width), hi_z - 0.02 * width)
-        else:
-            z = 0.5 * (lo_z + hi_z)
+    sols = {z_lo: sol_lo, consts.zeta_hat: sol_hi}
+
+    def G(z):
         sol = solve_outlet(z, cfg, gas, consts, options)
         if not isinstance(sol, FreeSolution):
-            # unsolvable pocket at small zeta: shrink the bracket from below
-            lo_z, G_lo = z, -math.inf
-            continue
-        g_true = sol.wall_length - target
-        if abs(g_true) <= match_tol:
-            return sol
-        if s * g_true < 0.0:
-            lo_z, G_lo = z, s * g_true
-        else:
-            hi_z, G_hi = z, s * g_true
-        if hi_z - lo_z <= 1e-13 * consts.zeta_hat:
-            return sol
-    raise NonconvergenceError(
-        f"radius matching did not reach |wall_length - (R0 - R)| <= "
-        f"{match_tol:.1e} in {_MAX_SHOOT_ITERS} iterations"
+            return -math.inf
+        sols[z] = sol
+        return s * (sol.wall_length - target)
+
+    br = numerics.shrink_bracket(
+        G,
+        numerics.Bracket(
+            z_lo,
+            consts.zeta_hat,
+            s * (sol_lo.wall_length - target),
+            s * (sol_hi.wall_length - target),
+        ),
+        1e-13 * consts.zeta_hat,
+        ftol=match_tol,
     )
+    # After a width stop, the solved end whose wall length is nearer the target.
+    ends = [(abs(f), z) for z, f in ((br.lo, br.f_lo), (br.hi, br.f_hi)) if z in sols]
+    return sols[min(ends)[1]]
 
 
 def classify_radius(

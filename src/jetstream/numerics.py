@@ -1,7 +1,8 @@
 """Deterministic numerical kernels.
 
-Monotone root bracketing, adaptive Gauss-Kronrod quadrature, banded linear
-solves (LAPACK-backed) with a residual check, and log-log power-law fits.
+Bracketed root finding (the Illinois method, the package's one bracketed
+search), adaptive Gauss-Kronrod quadrature, banded linear solves
+(LAPACK-backed) with a residual check, and log-log power-law fits.
 Everything here is deterministic: no randomness, no time-dependent state,
 fixed summation orders.
 """
@@ -77,7 +78,8 @@ _MAX_ROOT_ITERS = 200
 
 @dataclass(frozen=True)
 class Bracket:
-    """A sign-change interval [lo, hi] with the function values at both ends."""
+    """A sign-change interval [lo, hi] with the function values at both ends
+    (lo == hi when a search stopped on a probe that meets its |f| stop)."""
 
     lo: float
     hi: float
@@ -100,45 +102,85 @@ class BandedSystem:
     rhs: np.ndarray
 
 
-def find_root_monotone(f, bracket: Bracket, tol: float = 1e-12) -> float:
-    """Root of f inside a sign-change bracket, bracket-preserving.
+def shrink_bracket(f, bracket: Bracket, tol: float, ftol: float = 0.0) -> Bracket:
+    """Narrow a sign-change bracket of f by the Illinois method.
 
-    Bisection with a safeguarded secant acceleration: the secant candidate is
-    used only when it falls strictly inside the current bracket, otherwise the
-    step falls back to the midpoint, so the bracket never escapes.  An exact
-    zero at an endpoint returns that endpoint (lo wins if both vanish).
+    Each step evaluates f once, near the regula falsi point of the current
+    bracket, and replaces the end whose value has the probe's sign.  When
+    the same end is replaced twice in a row, the value stored at the other
+    (stale) end is halved, so both ends converge and the root is found
+    superlinearly where plain regula falsi stagnates (Dowell & Jarratt
+    1971).  A non-finite end value (say, -inf for a probe known to lie on
+    the negative side without a finite value) gives the midpoint instead.
+
+    The probe is moved tol/4 toward the stale end and kept at least tol/4
+    inside the bracket.  Once the estimate is good to well under tol, the
+    next two probes then land on either side of the root and the bracket
+    closes with both ends about tol/4 from it, where an f known only to
+    some noise level (a converged Newton solve) still has a clear sign;
+    without the move both ends would converge onto the root itself.
+
+    Stops when the width is at most ``tol``, returning the final bracket
+    with the true f values at its ends, or when a probe has |f| <= ``ftol``
+    (exactly zero for the default), returning the bracket collapsed onto
+    that probe.  An end that already meets ``ftol`` is returned collapsed
+    (lo wins if both do).  Raises ConstraintError for a bracket that is
+    not ordered or does not straddle a sign change, and NonconvergenceError
+    after ``_MAX_ROOT_ITERS`` steps.
     """
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if not lo < hi:
         raise ConstraintError(f"bracket endpoints not ordered: [{lo}, {hi}]")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    if abs(f_lo) <= ftol:
+        return Bracket(lo, lo, f_lo, f_lo)
+    if abs(f_hi) <= ftol:
+        return Bracket(hi, hi, f_hi, f_hi)
+    if not f_lo * f_hi < 0.0:
         raise ConstraintError(
             f"bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
         )
+    # The Illinois weights act on these stored copies; the ends keep the
+    # true values for the returned bracket.  ``last`` is -1 (+1) when the
+    # last probe replaced lo (hi), 0 before the first probe.
+    g_lo, g_hi, last = f_lo, f_hi, 0
     for _ in range(_MAX_ROOT_ITERS):
         if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        # Guard the secant point: keep it a sensible fraction inside.
-        if not (lo + 0.01 * (hi - lo) < x < hi - 0.01 * (hi - lo)):
-            x = mid
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if f_lo * fx < 0.0:
-            hi, f_hi = x, fx
+            return Bracket(lo, hi, f_lo, f_hi)
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo) - 0.25 * tol * last
+            x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
         else:
-            lo, f_lo = x, fx
+            x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # the bracket is down to adjacent floats
+            return Bracket(lo, hi, f_lo, f_hi)
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return Bracket(x, x, fx, fx)
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo, g_lo = x, fx, fx
+            if last == -1:
+                g_hi *= 0.5
+            last = -1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if last == 1:
+                g_lo *= 0.5
+            last = 1
     raise NonconvergenceError(
         f"root not bracketed to {tol} within {_MAX_ROOT_ITERS} iterations "
         f"(bracket [{lo}, {hi}])",
         estimate=0.5 * (lo + hi),
     )
+
+
+def find_root_monotone(f, bracket: Bracket, tol: float = 1e-12) -> float:
+    """Root of f inside a sign-change bracket, to ``tol`` in x.
+
+    The midpoint of ``shrink_bracket``'s final bracket, or the probe (or
+    end) where f vanishes exactly; lo wins if both ends vanish.
+    """
+    br = shrink_bracket(f, bracket, tol)
+    return 0.5 * (br.lo + br.hi)
 
 
 def _gk_panel(f, lo: float, hi: float) -> tuple[float, float]:

@@ -299,6 +299,62 @@ def test_zeta_star_positive_when_cap_binds(gas):
     assert abs(zs.xi_at_star - consts.zeta_cap) <= 1e-5 * consts.zeta_cap
 
 
+def _final_bracket(cfg, gas, consts, opts):
+    """find_zeta_star's result and the bracket its Illinois search returned
+    (None when the floor's cap shot already read solvable)."""
+    brackets = []
+    shrink = numerics.shrink_bracket
+
+    def recording(*args, **kwargs):
+        brackets.append(shrink(*args, **kwargs))
+        return brackets[-1]
+
+    with mock.patch.object(numerics, "shrink_bracket", recording):
+        zs = js.find_zeta_star(cfg, gas, consts, opts)
+    return zs, (brackets[0] if brackets else None)
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_zeta_star_cap_shots_agree_with_solve_outlet(gas, cfg, consts, opts64, tight):
+    # A cap shot reads zeta solvable iff its defect is >= -shoot_tol.  At
+    # the ends of the final bracket (at the floor when the search is
+    # floor-limited) that verdict is solve_outlet's.
+    if tight:
+        cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+        consts = js.derive_constants(gas, cfg)
+    zeta_tol = 1e-5 * consts.zeta_hat
+    zs, br = _final_bracket(cfg, gas, consts, opts64)
+    assert zs.floor_limited == (not tight)
+    if br is None:
+        ends = [(1e-3 * consts.zeta_hat, True)]
+    else:
+        assert br.hi - br.lo <= zeta_tol
+        assert br.hi == zs.zeta_star
+        ends = [(br.lo, br.f_lo >= 0.0), (br.hi, br.f_hi >= 0.0)]
+        assert [solvable for _, solvable in ends] == [False, True]
+    sols = [js.solve_outlet(zeta, cfg, gas, consts, opts64) for zeta, _ in ends]
+    assert [isinstance(sol, js.FreeSolution) for sol in sols] == [s for _, s in ends]
+    assert sols[-1].xi == zs.xi_at_star  # the flow at zeta_star (or the floor)
+    if tight:
+        below = js.solve_outlet(zs.zeta_star - zeta_tol, cfg, gas, consts, opts64)
+        assert isinstance(below, js.Nonexistence)
+        assert below.reason == "outlet-cap-bound"
+
+
+def test_zeta_star_search_runs_solve_outlet_only_at_the_bracket_ends(gas):
+    # Each probe of the search is one cap shot, not a solve_outlet: on the
+    # tight config solve_outlet runs at zeta_hat and at the two ends of the
+    # final bracket only.
+    cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+    consts = js.derive_constants(gas, cfg)
+    opts = js.SolverOptions(n_phi=64, n_psi=32)
+    with mock.patch.object(freebnd, "solve_outlet", wraps=freebnd.solve_outlet) as outlet:
+        zs, br = _final_bracket(cfg, gas, consts, opts)
+    zetas = sorted(c.args[0] for c in outlet.call_args_list)
+    assert zetas == [br.lo, br.hi, consts.zeta_hat]
+    assert zs.cap_binding
+
+
 # ---------------------------------------------------------------------------
 # Radius matching and classification
 
@@ -308,6 +364,27 @@ def test_match_R_midpoint_hits_target_length(gas, cfg, consts, opts64):
     sol = js.match_R(R, cfg, gas, consts, opts64)
     assert abs(sol.wall_length - (od.R0 - R)) <= 1e-6
     assert 0 < sol.zeta < consts.zeta_hat
+
+
+def test_match_R_steps_past_an_unsolvable_pocket(gas, cfg, consts, opts64):
+    # A probe without a flow counts as -inf, below the target: the search
+    # moves its lower end there and probes the midpoint next.
+    R = 0.5 * (od.R_HAT + 0.9998)
+    zs = js.find_zeta_star(cfg, gas, consts, opts64)
+    real, probes = freebnd.solve_outlet, []
+
+    def pocket(zeta, *args, **kwargs):
+        if zeta != consts.zeta_hat:
+            probes.append(zeta)
+            if len(probes) == 1:
+                return freebnd.Nonexistence(zeta, "outlet-cap-bound", -1.0, "patched")
+        return real(zeta, *args, **kwargs)
+
+    with mock.patch.object(freebnd, "solve_outlet", pocket):
+        sol = js.match_R(R, cfg, gas, consts, opts64, zs=zs)
+    assert probes[1] == 0.5 * (probes[0] + consts.zeta_hat)
+    assert abs(sol.wall_length - (od.R0 - R)) <= 1e-7
+    assert sol.zeta > probes[0]
 
 
 def test_match_R_symmetric_endpoint(gas, cfg, consts, opts64):
