@@ -13,10 +13,12 @@ one (no solution); a negative defect at the solvability cap xi = R0 c_l
 means the inlet cannot carry the flux for so small a zeta (no solution).
 Both outcomes return a typed ``Nonexistence`` record instead of raising.
 Two fixed-xi solves at the ends decide this; between them xi is solved for
-together with the field by one bordered Newton solve (``fixedbvp``), in
-passes that end on ``build_grid(zeta, xi)``.  The paper's flow is unique for
-each zeta, so the defect has one root and there is no second search: when
-that solve fails, ``solve_outlet`` raises NonconvergenceError.
+together with the field by one bordered Newton solve (``fixedbvp``).  The
+grid's cell counts depend on zeta only, so every xi the solve visits has its
+nodes on ``build_grid(zeta, xi)`` and the discrete defect is continuous and
+increasing in xi.  The paper's flow is unique for each zeta, so the defect
+has one root and there is no second search: when that solve fails,
+``solve_outlet`` raises NonconvergenceError.
 
 Grids of at least 128x64 cells start from the solution one grid coarser
 (nested iteration): the same zeta is solved with half the cells in each
@@ -178,10 +180,11 @@ def solve_outlet(
     two branches); no verdict comes from a coarser grid.  Between them one
     bordered Newton solve takes xi as an unknown, starting at the secant
     point of the two end defects from the nearer end's field.  Either
-    bordered solve runs in passes until it ends on ``build_grid(zeta, xi)``
-    with the Newton tolerance and |defect| <= shoot_tol met.  Should the
-    second one raise or miss that tolerance, NonconvergenceError is raised
-    (chained from the bordered solve's error) naming zeta and the bracket.
+    bordered solve is one Newton run on ``build_grid(zeta, xi)``, xi moving
+    with every step, until the Newton tolerance and |defect| <= shoot_tol
+    are met.  Should the second one raise or miss that tolerance,
+    NonconvergenceError is raised (chained from the bordered solve's error)
+    naming zeta and the bracket.
     """
     return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions())
 
@@ -220,7 +223,7 @@ def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistenc
     def shoot(xi, donor=None, free_xi=False):
         warm = None
         if donor is not None:
-            grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
+            grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
             warm = interp_onto(grid, donor.grid, donor.Q)
         field = solve_fixed(zeta, xi, cfg, gas, consts, options, x0=warm, free_xi=free_xi)
         return field, inlet_defect(field, gas, cfg)
@@ -271,7 +274,7 @@ def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistenc
     # The start need not stay well inside the bracket: the defect is close to
     # linear in xi, and a root close to zeta (nearly symmetric detachment) is
     # then reached without squeezing the grid's segment [zeta, xi] by a large
-    # factor in one pass.
+    # factor.
     x = _secant_point(lo, d_lo, hi, d_hi)
     where = (
         f"the bordered outlet solve at zeta = {zeta:.8g}, started at "
@@ -347,7 +350,7 @@ def find_zeta_star(
         if donor is None and cap_fields:
             donor = cap_fields[min(cap_fields, key=lambda z: abs(z - zeta))]
         if donor is not None:
-            grid = build_grid(zeta, cap, cfg.m, options.n_phi, options.n_psi, phi_cap=cap)
+            grid = build_grid(zeta, cap, cfg.m, options.n_phi, options.n_psi, consts)
             warm = interp_onto(grid, donor.grid, donor.Q)
         field = solve_fixed(zeta, cap, cfg, gas, consts, options, x0=warm)
         cap_fields[zeta] = field

@@ -33,23 +33,46 @@ def _field_from_Q(gas, grid, Q):
 
 def test_build_grid_symmetric_uniform(consts):
     zh = consts.zeta_hat
-    g = js.build_grid(zh, zh, od.M_FLUX, 64, 32)
+    g = js.build_grid(zh, zh, od.M_FLUX, 64, 32, consts)
     assert g.zeta_index == 64
     assert g.n_phi == 64 and g.n_psi == 32
     assert np.allclose(np.diff(g.phi_nodes), zh / 64, rtol=1e-14)
     assert g.phi_nodes[0] == 0.0 and abs(g.phi_nodes[-1] - zh) < 1e-15
     assert abs(g.psi_nodes[-1] - od.M_FLUX) < 1e-15
+    assert g.dh_dxi is None
 
 
-def test_build_grid_asymmetric_split():
-    g = js.build_grid(0.06, 0.11, 0.25, 64, 32)
+def test_build_grid_asymmetric_split(consts):
+    # The split is chosen at xi_ref(0.06) = 0.11593 on the desk config:
+    # n1 = round(64 * 0.06 / 0.11593) = 33 cells on [0, zeta].
+    g = js.build_grid(0.06, 0.11, 0.25, 64, 32, consts)
     iz = g.zeta_index
+    assert iz == 33
     assert abs(g.phi_nodes[iz] - 0.06) < 1e-15
     assert abs(g.phi_nodes[-1] - 0.11) < 1e-15
     h1 = 0.06 / iz
     h2 = (0.11 - 0.06) / (g.n_phi - iz)
     assert iz >= 4 and g.n_phi - iz >= 4
     assert 0.5 <= h1 / h2 <= 2.0
+
+
+@pytest.mark.parametrize("n_phi", [64, 128])
+def test_build_grid_counts_do_not_move_with_xi(consts, n_phi):
+    # Across (0, zeta_hat] the cell counts and zeta's index are fixed by
+    # zeta: every xi in (zeta, R0 c_l] gets the same counts, its nodes
+    # moving at the rates dh_dxi gives.
+    zh, cap = consts.zeta_hat, consts.zeta_cap
+    for frac in (1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0 - 8e-4, 1.0):
+        zeta = frac * zh
+        xis = zeta + (cap - zeta) * np.array([0.05, 0.3, 0.6, 1.0])
+        grids = [js.build_grid(zeta, float(x), od.M_FLUX, n_phi, n_phi // 2, consts)
+                 for x in xis]
+        assert len({(g.n_phi, g.zeta_index) for g in grids}) == 1, frac
+        for g in grids[:-1]:
+            dx = 1e-7 * g.xi
+            moved = js.build_grid(zeta, g.xi + dx, od.M_FLUX, n_phi, n_phi // 2, consts)
+            rate = (np.diff(moved.phi_nodes) - np.diff(g.phi_nodes)) / dx
+            assert np.max(np.abs(rate - g.dh_dxi)) <= 1e-6, frac
 
 
 def _assert_graded(g, zeta, xi, n_phi):
@@ -75,38 +98,38 @@ def _assert_graded(g, zeta, xi, n_phi):
 def test_build_grid_extreme_ratio_still_legal(consts):
     # zeta tiny relative to xi: the right segment is graded away from zeta
     # instead of carrying thousands of uniform cells.
-    _assert_graded(js.build_grid(0.001, 0.2, 0.25, 64, 32), 0.001, 0.2, 64)
+    _assert_graded(js.build_grid(0.001, 0.2, 0.25, 64, 32, consts), 0.001, 0.2, 64)
     # The floor probe of the zeta_star search at the outlet cap.
     zeta, xi = 1e-3 * consts.zeta_hat, consts.zeta_cap
-    _assert_graded(js.build_grid(zeta, xi, od.M_FLUX, 64, 32), zeta, xi, 64)
+    _assert_graded(js.build_grid(zeta, xi, od.M_FLUX, 64, 32, consts), zeta, xi, 64)
     # Near-symmetric: 1 - zeta/xi = 8e-4, the left segment is the graded one.
     xi = consts.zeta_hat
     zeta = (1.0 - 8e-4) * xi
-    g = js.build_grid(zeta, xi, od.M_FLUX, 128, 64)
+    g = js.build_grid(zeta, xi, od.M_FLUX, 128, 64, consts)
     _assert_graded(g, zeta, xi, 128)
     assert g.n_phi - g.zeta_index == 4
-    # Spacings within a factor 2 of each other: no grading, node for node
-    # the concatenation of np.linspace over each segment.
-    g = js.build_grid(0.06, 0.11, 0.25, 64, 32)
-    n1 = round(64 * 0.06 / 0.11)
+    # Spacings within a factor 2 of each other at xi_ref: no grading, node
+    # for node the concatenation of np.linspace over each segment, with
+    # n1 = 33 as above.
+    g = js.build_grid(0.06, 0.11, 0.25, 64, 32, consts)
     expected = np.concatenate(
-        [np.linspace(0.0, 0.06, n1 + 1), np.linspace(0.06, 0.11, 64 - n1 + 1)[1:]]
+        [np.linspace(0.0, 0.06, 34), np.linspace(0.06, 0.11, 64 - 33 + 1)[1:]]
     )
-    assert g.zeta_index == n1
+    assert g.zeta_index == 33
     assert np.array_equal(g.phi_nodes, expected)
 
 
-def test_build_grid_validation():
+def test_build_grid_validation(consts):
     with pytest.raises(errors.ConstraintError):
-        js.build_grid(-0.01, 0.1, 0.25, 64, 32)
+        js.build_grid(-0.01, 0.1, 0.25, 64, 32, consts)
     with pytest.raises(errors.ConstraintError):
-        js.build_grid(0.12, 0.1, 0.25, 64, 32)
+        js.build_grid(0.12, 0.1, 0.25, 64, 32, consts)
     with pytest.raises(errors.ConstraintError):
-        js.build_grid(0.05, 0.3, 0.25, 64, 32, phi_cap=od.ZETA_CAP)
+        js.build_grid(0.05, 0.3, 0.25, 64, 32, consts)  # beyond R0 c_l
     with pytest.raises(errors.ConstraintError):
-        js.build_grid(0.05, 0.1, 0.25, 8, 32)
+        js.build_grid(0.05, 0.1, 0.25, 8, 32, consts)
     with pytest.raises(errors.ConstraintError):
-        js.build_grid(0.05, 0.1, 0.25, 64, 4)
+        js.build_grid(0.05, 0.1, 0.25, 64, 4, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +140,16 @@ def test_build_grid_validation():
     "coarse, fine",
     [
         ((0.05, 0.1, 64, 32), (0.05, 0.1, 128, 64)),  # the coarse start
-        ((0.05, 0.1, 64, 32), (0.05, 0.104, 64, 32)),  # a regrid in xi
+        ((0.05, 0.1, 64, 32), (0.05, 0.104, 64, 32)),  # a move in xi
         ((0.001, 0.17, 64, 32), (0.001, 0.172, 128, 64)),  # graded right
     ],
     ids=["refine", "move-xi", "graded"],
 )
-def test_interp_onto_is_exact_on_bilinear_fields(coarse, fine):
+def test_interp_onto_is_exact_on_bilinear_fields(consts, coarse, fine):
     # Tensor-linear interpolation reproduces a + b phi + c psi + d phi psi
     # wherever the new nodes lie inside the old grid.
-    old = js.build_grid(coarse[0], coarse[1], od.M_FLUX, coarse[2], coarse[3])
-    new = js.build_grid(fine[0], fine[1], od.M_FLUX, fine[2], fine[3])
+    old = js.build_grid(coarse[0], coarse[1], od.M_FLUX, coarse[2], coarse[3], consts)
+    new = js.build_grid(fine[0], fine[1], od.M_FLUX, fine[2], fine[3], consts)
 
     def field(grid):
         P, S = np.meshgrid(grid.phi_nodes, grid.psi_nodes, indexing="ij")
@@ -138,9 +161,9 @@ def test_interp_onto_is_exact_on_bilinear_fields(coarse, fine):
     assert np.max(np.abs(out[inside] - field(new)[inside])) <= 1e-14
 
 
-def test_interp_onto_matching_nodes_returns_the_input():
-    grid = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32)
-    twin = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32)
+def test_interp_onto_matching_nodes_returns_the_input(consts):
+    grid = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32, consts)
+    twin = js.build_grid(0.05, 0.1, od.M_FLUX, 64, 32, consts)
     Q = np.random.default_rng(3).uniform(0.1, 0.2, (65, 33))
     out = fixedbvp.interp_onto(twin, grid, Q)
     assert np.array_equal(out, Q)
@@ -155,7 +178,7 @@ def test_constant_exit_field_residual(gas, cfg, consts):
     # Q identically A(c_e): interior and Dirichlet rows vanish exactly and
     # the inlet rows equal the (negative) inlet flux density.
     zh = consts.zeta_hat
-    grid = js.build_grid(zh, zh, od.M_FLUX, 32, 16)
+    grid = js.build_grid(zh, zh, od.M_FLUX, 32, 16, consts)
     Q = np.full((33, 17), od.A_CE)
     field = _field_from_Q(gas, grid, Q)
     r = js.assemble_residual(field, gas, cfg)
@@ -164,15 +187,18 @@ def test_constant_exit_field_residual(gas, cfg, consts):
     assert np.max(np.abs(r[0, :] - expected_inlet)) < 1e-12
 
 
-def test_interior_residual_second_order(gas, cfg):
+def test_interior_residual_second_order(gas, cfg, consts):
     # Richardson: on nested uniform grids the interior density residual of a
-    # fixed smooth field differs between levels by O(h^2).
-    xi, m = 0.12, od.M_FLUX
-    zeta = xi / 2.0  # n1 = n/2 exactly: fully uniform nested grids
+    # fixed smooth field differs between levels by O(h^2).  At zeta = 0.0584
+    # the split's reference outlet potential is 2 zeta to 1e-4, so n1 = n/2
+    # on every level and xi = 2 zeta makes the grids fully uniform.
+    zeta, m = 0.0584, od.M_FLUX
+    xi = 2.0 * zeta
     levels = [16, 32, 64, 128, 256]
     res = {}
     for n in levels:
-        grid = js.build_grid(zeta, xi, m, n, n // 2)
+        grid = js.build_grid(zeta, xi, m, n, n // 2, consts)
+        assert grid.zeta_index == n // 2
         Q = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, m)
         res[n] = js.assemble_residual(_field_from_Q(gas, grid, Q), gas, cfg)
     samples = []
@@ -185,7 +211,7 @@ def test_interior_residual_second_order(gas, cfg):
 
 
 def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
-    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16)
+    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
     q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, 0.11, od.M_FLUX)
@@ -210,10 +236,14 @@ def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
     ids=["uniform", "graded-right", "graded-left"],
 )
 def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
-    # The residual at fixed nodal values, as a function of xi with the
-    # grid's cell counts held fixed, against its analytic xi-derivative.
-    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16)
-    assert grid.layout[2] == side
+    # The residual at fixed nodal values, as a function of xi (build_grid
+    # holds the cell counts fixed), against its analytic xi-derivative.
+    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16, consts)
+    h_phi, iz = np.diff(grid.phi_nodes), grid.zeta_index
+    left, right = (bool(np.ptp(s) > 1e-12 * s.max()) for s in (h_phi[:iz], h_phi[iz:]))
+    assert {(False, False): None, (True, False): "left", (False, True): "right"}[
+        left, right
+    ] == side
     op = _Operator(grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
     Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, od.M_FLUX)
     Qfull[~op.free] = od.A_CE
@@ -221,9 +251,7 @@ def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
     g = op.dr_dxi(Qfull, F)
     h = 1e-7 * xi
     r = [
-        op.on(
-            js.build_grid(zeta, x, od.M_FLUX, 32, 16, layout=grid.layout)
-        ).residual(Qfull)
+        op.on(js.build_grid(zeta, x, od.M_FLUX, 32, 16, consts)).residual(Qfull)
         for x in (xi + h, xi - h)
     ]
     fd = (r[0] - r[1]) / (2.0 * h)
@@ -232,18 +260,22 @@ def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
 
 def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
     # c.z with z = M^-1 dr/dxi, at a converged fixed-xi field, against the
-    # slope of inlet_defect between two solves on the same cell split.
+    # slope of inlet_defect between two solves of the same zeta (so the same
+    # cell counts).
     zeta, xi = 0.6 * consts.zeta_hat, 0.11
     f = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64)
     op = _Operator(f.grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
     system = op.newton_matrix(f.Q)
     system.rhs = op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q))
     z = numerics.solve_banded(system)
-    border = fixedbvp._Border(zeta, consts.zeta_cap, 1e-9, 64, 32, gas, cfg)
+    border = fixedbvp._Border(zeta, consts, 1e-9, 64, 32, gas, cfg)
     slope = border.gradient_dot(f.q[0, :], z, f.grid)
     h = 1e-4 * xi
     fields = [js.solve_fixed(zeta, x, cfg, gas, consts, opts64) for x in (xi + h, xi - h)]
-    assert all(g.grid.layout == f.grid.layout for g in (f, *fields))
+    assert all(
+        (g.grid.zeta_index, g.grid.n_phi) == (f.grid.zeta_index, f.grid.n_phi)
+        for g in fields
+    )
     d = [js.inlet_defect(g, gas, cfg) for g in fields]
     fd = (d[0] - d[1]) / (2.0 * h)
     assert slope > 0.0
@@ -251,7 +283,7 @@ def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
 
 
 def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
-    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16)
+    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
     q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = np.full((33, 17), od.A_07)
@@ -267,7 +299,7 @@ def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
 def test_certificate_rejects_lost_inlet_coercivity(gas, cfg, consts):
     # With the whole inlet at the clamp floor (q = q_floor < c_l) and xi at
     # the cap, the Robin coupling overwhelms the column weights.
-    grid = js.build_grid(0.1, consts.zeta_cap, od.M_FLUX, 32, 16)
+    grid = js.build_grid(0.1, consts.zeta_cap, od.M_FLUX, 32, 16, consts)
     q_floor = newton_q_floor(gas, consts.c_l)
     op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
     Qfull = np.full((33, 17), float(gas.fast_A(q_floor)))
@@ -379,9 +411,9 @@ def test_picard_rejects_out_of_range_profile(gas, cfg, consts, opts64):
 # Corner exponent
 
 
-def test_corner_exponent_on_planted_half_power(gas):
+def test_corner_exponent_on_planted_half_power(gas, consts):
     zeta, xi, m = 0.0627, 0.1143, od.M_FLUX
-    grid = js.build_grid(zeta, xi, m, 256, 128)
+    grid = js.build_grid(zeta, xi, m, 256, 128, consts)
     P, S = np.meshgrid(grid.phi_nodes, grid.psi_nodes, indexing="ij")
     r = np.sqrt((P - zeta) ** 2 + (S - m) ** 2)
     Q = od.A_CE - 0.05 * np.sqrt(r) * (1.0 + 0.2 * (m - S) / m)

@@ -8,6 +8,7 @@ import pytest
 import jetstream as js
 import oracle_data as od
 from jetstream import errors, freebnd, numerics
+from jetstream.fixedbvp import shoot_tolerance
 
 
 def _constant_field(gas, grid, q_value):
@@ -22,7 +23,7 @@ def _constant_field(gas, grid, q_value):
 
 def test_inlet_defect_sign_at_exit_speed(gas, cfg, consts):
     # A uniformly fast inlet under-carries arc length: negative defect.
-    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16)
+    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16, consts)
     f = _constant_field(gas, grid, od.C_E)
     d = js.inlet_defect(f, gas, cfg)
     expected = od.M_FLUX / (od.C_E * od.RHO_CE) - od.R0 * od.VARTHETA
@@ -32,7 +33,7 @@ def test_inlet_defect_sign_at_exit_speed(gas, cfg, consts):
 
 def test_inlet_defect_sign_at_lower_speed(gas, cfg, consts):
     # A uniformly slow inlet over-carries: positive defect.
-    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16)
+    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16, consts)
     f = _constant_field(gas, grid, consts.c_l)
     d = js.inlet_defect(f, gas, cfg)
     expected = od.M_FLUX / (consts.c_l * gas.rho(consts.c_l)) - od.R0 * od.VARTHETA
@@ -41,7 +42,7 @@ def test_inlet_defect_sign_at_lower_speed(gas, cfg, consts):
 
 
 def test_inlet_defect_zero_at_symmetric_speed(gas, cfg, consts):
-    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16)
+    grid = js.build_grid(consts.zeta_hat, consts.zeta_hat, od.M_FLUX, 32, 16, consts)
     f = _constant_field(gas, grid, consts.c_m)
     assert abs(js.inlet_defect(f, gas, cfg)) < 1e-12
 
@@ -70,12 +71,16 @@ def test_asymmetric_shoot_properties(asym_free, consts):
 
 
 # xi and r_equiv of solve_outlet at commit 7be6648, where an outer secant
-# shoot on xi ran a full fixed-xi solve per shot.
+# shoot on xi ran a full fixed-xi solve per shot.  The rows at 0.3 and at the
+# floor are re-pinned on the split that depends on zeta only (the older one
+# moved with xi): xi moved by 2.8e-6 (was 0.1401693448027569) and 7.1e-7
+# (was 0.17239813387998956), under 1% of xi's change on doubling the grid
+# (-4.3e-4 and -1.4e-4).
 _SECANT_ANSWERS = [
-    (0.3, 128, 0.1401693448027569, 0.9542048409848127),
+    (0.3, 128, 0.14016653435773477, 0.9542039288526833),
     (0.6, 128, 0.11435050222271577, 0.9032221624051132),
     (0.9, 128, 0.10501686909617874, 0.8547992861797566),
-    (1e-3, 64, 0.17239813387998956, 0.9998694041125288),
+    (1e-3, 64, 0.1723988480092812, 0.999869404112535),
     (1.0 - 8e-4, 128, 0.10445018335180253, 0.8406505955370823),
 ]
 
@@ -95,7 +100,7 @@ def test_bordered_outlet_keeps_the_secant_answers(gas, cfg, consts, frac, n_phi,
     assert abs(sol.inlet_defect) <= 1e-8 * od.R0 * od.VARTHETA
     assert sol.inlet_defect == js.inlet_defect(sol.field, gas, cfg)
     assert sol.field.grid.xi == sol.xi
-    grid = js.build_grid(zeta, sol.xi, od.M_FLUX, n_phi, n_phi // 2)
+    grid = js.build_grid(zeta, sol.xi, od.M_FLUX, n_phi, n_phi // 2, consts)
     assert np.array_equal(sol.field.grid.phi_nodes, grid.phi_nodes)
 
 
@@ -128,6 +133,58 @@ def test_failed_bordered_solve_raises_without_a_second_search(gas, cfg, consts, 
     assert calls == [False, False, True]
     assert isinstance(exc.value.__cause__, errors.NonconvergenceError)
     assert "bracket" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# One discrete root: the cell counts do not move with xi
+
+
+# A cap-bound configuration (classify-cold benchmark workload, seed 1, op 6)
+# and its zeta_star probe, where a split that moved with xi (n1 = 25 or 26
+# on [0, zeta]) gave the defect a jump and two discrete roots.
+_TWO_ROOT_CFG = dict(
+    R0=1.0, vartheta=0.5264345036713102, m=0.2133733019235032, c_e=0.7885107418116236
+)
+_TWO_ROOT_ZETA = 0.0915132105875253
+_TWO_ROOT_BRACKET = (0.2294, 0.22994)
+
+
+def test_defect_is_continuous_and_increasing_in_xi(gas, opts64):
+    cfg = js.FlowConfig(**_TWO_ROOT_CFG)
+    consts = js.derive_constants(gas, cfg)
+    fields = [
+        js.solve_fixed(_TWO_ROOT_ZETA, float(xi), cfg, gas, consts, opts64)
+        for xi in np.linspace(*_TWO_ROOT_BRACKET, 55)
+    ]
+    assert len({f.grid.zeta_index for f in fields}) == 1
+    steps = np.diff([js.inlet_defect(f, gas, cfg) for f in fields])
+    assert steps.min() > 0.0
+    assert np.ptp(steps) <= 0.1 * np.median(steps)  # no jump between shots
+
+
+def test_bordered_solves_from_either_end_find_one_root(gas, opts64):
+    cfg = js.FlowConfig(**_TWO_ROOT_CFG)
+    consts = js.derive_constants(gas, cfg)
+    xis = [
+        js.solve_fixed(
+            _TWO_ROOT_ZETA, xi, cfg, gas, consts, opts64, free_xi=True
+        ).grid.xi
+        for xi in _TWO_ROOT_BRACKET
+    ]
+    assert abs(xis[0] - xis[1]) <= 1e-12
+
+
+def test_outlet_solve_that_regridded_without_end_now_converges(gas, opts64):
+    # A zeta_star probe (classify-cold benchmark workload, seed 11, op 2)
+    # where the bordered solve used to move between two splits until it
+    # gave up.
+    cfg = js.FlowConfig(
+        R0=1.0, vartheta=0.5225547753960804, m=0.1773629367612104, c_e=0.8024316140799237
+    )
+    consts = js.derive_constants(gas, cfg)
+    sol = js.solve_outlet(0.1780163214, cfg, gas, consts, opts64)
+    assert isinstance(sol, js.FreeSolution)
+    assert abs(sol.inlet_defect) <= shoot_tolerance(opts64, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_consistency_guard_flags_non_solution_fields(gas, cfg, consts):
     # derivative, zero normal derivative at both psi edges), must raise once
     # its residual norm understates the equation violation.
     zh = consts.zeta_hat
-    grid = js.build_grid(zh / 2, zh, cfg.m, 32, 16)
+    grid = js.build_grid(zh / 2, zh, cfg.m, 32, 16, consts)
     a_cm = float(gas.fast_A(consts.c_m))
     a_ce = float(gas.fast_A(consts.c_e))
     P, S = np.meshgrid(grid.phi_nodes, grid.psi_nodes, indexing="ij")
