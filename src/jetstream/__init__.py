@@ -61,7 +61,6 @@ from .freebnd import (
 from .physmap import (
     AngleField,
     PhysicalField,
-    boundary_curves,
     geometry_checks,
     reconstruct,
     recover_theta,
@@ -95,7 +94,6 @@ __all__ = [
     "SymmetricSolution",
     "ZetaStarResult",
     "assemble_residual",
-    "boundary_curves",
     "build_grid",
     "classify_radius",
     "corner_exponent",

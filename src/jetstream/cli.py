@@ -113,13 +113,7 @@ _SCHEMA = {
         "P_e": "float",
         "R": "float",
     },
-    "solver": {
-        "n_phi": "int",
-        "n_psi": "int",
-        "tol": "float",
-        "shoot_tol": "float",
-        "max_iters": "int",
-    },
+    "solver": {"n_phi": "int", "n_psi": "int"},
     "outputs": {"directory": "str"},
 }
 
@@ -199,14 +193,10 @@ def load_config(path: str) -> RunConfig:
     flow = FlowConfig(**kwargs)
     R = _as_float(flow_sec["R"], "flow.R") if "R" in flow_sec else None
 
-    # Keys the config leaves out keep SolverOptions' own defaults.
+    # A cell count the config leaves out keeps its SolverOptions value.
     solver_sec = data.get("solver") or {}
-    parse = {"int": _as_int, "float": _as_float}
     opts = SolverOptions(
-        **{
-            key: parse[_SCHEMA["solver"][key]](value, f"solver.{key}")
-            for key, value in solver_sec.items()
-        }
+        **{key: _as_int(value, f"solver.{key}") for key, value in solver_sec.items()}
     )
 
     out_sec = data.get("outputs") or {}

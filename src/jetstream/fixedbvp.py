@@ -48,9 +48,10 @@ cancel; psi-faces join nodes of equal phi and so of equal weight.
 Newton iterates are clamped to [A(q_floor), A(c_e)], q_floor from
 ``newton_q_floor``, and damped by halving down to 2**-20.  Convergence is
 measured on the residual in PDE-density units (finite-volume row divided by
-its cell measure); the stated tolerance is floored by a per-grid roundoff
-estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable level of that norm in
-double precision.
+its cell measure); the Newton tolerance ``_NEWTON_TOL`` = 1e-10 is floored
+by a per-grid roundoff estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable
+level of that norm in double precision, and a solve that has not met it
+after ``_MAX_ITERS`` = 100 factorizations raises NonconvergenceError.
 
 Bordered row (``solve_fixed(..., free_xi=True)``): xi becomes one more
 unknown and the inlet mass-flux defect D(Q) one more equation (Keller's
@@ -130,13 +131,12 @@ class SpeedField:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Resolution and iteration knobs shared by the fixed and free solvers."""
+    """The requested grid, shared by the fixed and free solvers: cell counts
+    in phi and psi (``build_grid``).  Tolerances and iteration caps are not
+    options: each is a named constant of the module that uses it."""
 
     n_phi: int = 128
     n_psi: int = 64
-    tol: float = 1e-10
-    max_iters: int = 100
-    shoot_tol: float | None = None  # None -> 1e-8 * R0 * vartheta
 
 
 def _graded_count(
@@ -508,16 +508,18 @@ class _Operator:
         return numerics.BandedSystem(self.n_free, nb, nb, ab, np.zeros(self.n_free))
 
 
+#: Newton tolerance on the density-norm residual (floored by roundoff).
+_NEWTON_TOL = 1e-10
+#: Factorizations a Newton solve may take before it gives up.
+_MAX_ITERS = 100
 #: Smallest damping of a fixed-xi Newton step before the line search stalls.
 _DAMPING_FLOOR = 2.0**-20
 #: Smallest damping of a bordered step before the fixed-xi step is taken.
 _BORDERED_DAMPING_FLOOR = 2.0**-6
 
 
-def shoot_tolerance(options: SolverOptions, cfg: FlowConfig) -> float:
-    """Tolerance on |inlet_defect| for a free solution."""
-    if options.shoot_tol is not None:
-        return options.shoot_tol
+def shoot_tolerance(cfg: FlowConfig) -> float:
+    """Tolerance on |inlet_defect| for a free solution: 1e-8 R0 vartheta."""
     return 1e-8 * cfg.R0 * cfg.vartheta
 
 
@@ -564,7 +566,6 @@ class _Border:
 
     zeta: float
     consts: DerivedConstants
-    tol: float
     n_phi: int
     n_psi: int
     gas: GasModel
@@ -587,7 +588,7 @@ class _Border:
         )
 
 
-def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=None):
+def _newton_solve(op: _Operator, Qfull0, border=None):
     """Damped Newton on the finite-volume system.
 
     Returns (operator, Qfull, norm, factorizations); the operator's grid is
@@ -600,10 +601,11 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
     F = op.gas.fast_F_of_A(Qfull)
     r = op.residual(Qfull, F)
     norm = op.density_norm(r)
-    tol_eff = max(tol, op.roundoff_floor(Qfull, F))
-    D = q0 = scale = None
+    tol_eff = max(_NEWTON_TOL, op.roundoff_floor(Qfull, F))
+    D = q0 = scale = shoot_tol = None
     if border is not None:
         D, q0 = border.defect(Qfull, op.grid)
+        shoot_tol = shoot_tolerance(border.cfg)
 
     def trial(delta, dxi, lam):
         # The state after the step (delta, dxi) damped by lam if the line
@@ -630,18 +632,18 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
             merit_t = max(norm_t / scale[0], abs(D_t) / scale[1])
             if not (
                 merit_t <= (1.0 - 0.25 * lam) * merit
-                or (norm_t <= tol_eff and abs(D_t) <= border.tol)
+                or (norm_t <= tol_eff and abs(D_t) <= shoot_tol)
             ):
                 return None
         return op_t, Q_t, F_t, r_t, norm_t, D_t, q0_t, dxi
 
     it = 0
     while True:
-        if norm <= tol_eff and (border is None or abs(D) <= border.tol):
+        if norm <= tol_eff and (border is None or abs(D) <= shoot_tol):
             return op, Qfull, norm, it
-        if it == max_iters:
+        if it == _MAX_ITERS:
             raise NonconvergenceError(
-                f"Newton did not reach {tol_eff:.3e} in {max_iters} iterations "
+                f"Newton did not reach {tol_eff:.3e} in {_MAX_ITERS} iterations "
                 f"(residual {norm:.3e})",
                 estimate=norm,
             )
@@ -650,7 +652,7 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
         # Candidate steps (dQ, dxi, smallest damping), tried in order.
         if border is None:
             sys.rhs = r
-            steps = [(numerics.solve_banded(sys), 0.0, damping_floor)]
+            steps = [(numerics.solve_banded(sys), 0.0, _DAMPING_FLOOR)]
         else:
             # One factorization, two right-hand sides: y = M^-1 r is the
             # fixed-xi step, z = M^-1 dr/dxi the field's slope dQ/dxi.  The
@@ -672,8 +674,8 @@ def _newton_solve(op: _Operator, Qfull0, tol, max_iters, damping_floor, border=N
                 # first field correction's change of it, c.y: a start close
                 # to the root (a coarse solution) has a tiny defect that the
                 # first correction alone moves by orders of magnitude more.
-                scale = (max(norm, tol_eff), max(abs(D), abs(cy), border.tol))
-            steps = [(y, 0.0, damping_floor)]
+                scale = (max(norm, tol_eff), max(abs(D), abs(cy), shoot_tol))
+            steps = [(y, 0.0, _DAMPING_FLOOR)]
             slope = border.gradient_dot(q0, z, op.grid)
             if slope > 0.0:
                 dxi = -(D + cy) / slope
@@ -719,22 +721,24 @@ def solve_fixed(
     gas: GasModel,
     consts: DerivedConstants,
     options: SolverOptions | None = None,
-    x0: np.ndarray | None = None,
+    *,
+    start: SpeedField | None = None,
     free_xi: bool = False,
 ) -> SpeedField:
     """Solve the fixed-(zeta, xi) stream problem on a fresh grid.
 
-    The initial iterate is the linear subsolution
-    Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)) unless ``x0`` provides a
-    warm start of matching shape.  The converged field satisfies the Dirichlet
-    data exactly, and must pass ``checks.field_checks`` (the speed bounds
-    c_l <= q <= c_e and monotonicity in both coordinates, on every node) or
-    ConstraintError is raised.  ``newton_iters`` counts the factorizations.
+    The initial iterate is the field ``start``, a solved flow on any grid,
+    carried onto this grid by ``interp_onto``; without one it is the linear
+    subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)).  The
+    converged field satisfies the Dirichlet data exactly, and must pass
+    ``checks.field_checks`` (the speed bounds c_l <= q <= c_e and
+    monotonicity in both coordinates, on every node) or ConstraintError is
+    raised.  ``newton_iters`` counts the factorizations.
 
     With ``free_xi`` the given xi is only the starting value of the outlet
     potential, which becomes one more unknown pinned by the inlet mass flux
-    (|inlet_defect| <= shoot_tol, the bordered row of the module docstring).
-    Each Newton step moves Q and xi together; the cell counts of
+    (|inlet_defect| <= ``shoot_tolerance``, the bordered row of the module
+    docstring).  Each Newton step moves Q and xi together; the cell counts of
     ``build_grid`` do not depend on xi, so every iterate lives on
     ``build_grid(zeta, xi)`` and the returned field's grid is
     ``build_grid(zeta, xi*)`` node for node.  The caller reads xi* from
@@ -743,30 +747,17 @@ def solve_fixed(
     options = options or SolverOptions()
     grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
     a_ce = flux_A(gas, consts.c_e)
-    if x0 is not None and x0.shape == (grid.n_phi + 1, grid.n_psi + 1):
-        Q0 = x0
+    if start is not None:
+        Q0 = interp_onto(grid, start.grid, start.Q)
     else:
         Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
     border = None
     if free_xi:
-        border = _Border(
-            zeta,
-            consts,
-            shoot_tolerance(options, cfg),
-            options.n_phi,
-            options.n_psi,
-            gas,
-            cfg,
-        )
+        border = _Border(zeta, consts, options.n_phi, options.n_psi, gas, cfg)
     # The operator is handed over, not kept here: a bordered solve replaces
     # it with one per xi it moves to.
     op, Qfull, norm, iters = _newton_solve(
-        _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l)),
-        Q0,
-        options.tol,
-        options.max_iters,
-        _DAMPING_FLOOR,
-        border,
+        _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l)), Q0, border
     )
     q = np.asarray(gas.fast_q_of_A(Qfull))
     q[~op.free] = consts.c_e
@@ -838,9 +829,7 @@ def picard_T(
         grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux
     )
     Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-    _, Qfull, _, _ = _newton_solve(
-        op, Q0, options.tol, options.max_iters, _DAMPING_FLOOR
-    )
+    _, Qfull, _, _ = _newton_solve(op, Q0)
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))
 
 

@@ -55,9 +55,7 @@ from .errors import (
 from .fixedbvp import (
     SolverOptions,
     SpeedField,
-    build_grid,
     inlet_defect,
-    interp_onto,
     shoot_tolerance,
     solve_fixed,
 )
@@ -105,14 +103,6 @@ class ZetaStarResult:
     floor_limited: bool
     at_star: FreeSolution
     at_hat: FreeSolution | None
-
-    @property
-    def xi_at_star(self) -> float:
-        return self.at_star.xi
-
-    @property
-    def r_equiv_at_star(self) -> float:
-        return self.at_star.r_equiv
 
 
 @dataclass(frozen=True)
@@ -166,9 +156,9 @@ def solve_outlet(
     mass flux of the arc, for fixed detachment abscissa zeta.
 
     On a grid with a coarser level (``_coarser``) the same zeta is first
-    solved there, recursively, and its flow, carried onto
-    ``build_grid(zeta, xi_c)``, starts one bordered Newton solve
-    (``solve_fixed(..., free_xi=True)``; a fixed-xi solve when xi_c == zeta).
+    solved there, recursively, and its flow starts one bordered Newton solve
+    at its outlet potential xi_c (``solve_fixed(..., start=, free_xi=True)``;
+    a fixed-xi solve when xi_c == zeta).
     Its result is returned when it meets the acceptance below.  The coarse
     answer is only a starting guess: when the coarser level finds no flow,
     raises, or the solve from its start fails, the path below runs as if
@@ -181,10 +171,10 @@ def solve_outlet(
     bordered Newton solve takes xi as an unknown, starting at the secant
     point of the two end defects from the nearer end's field.  Either
     bordered solve is one Newton run on ``build_grid(zeta, xi)``, xi moving
-    with every step, until the Newton tolerance and |defect| <= shoot_tol
-    are met.  Should the second one raise or miss that tolerance,
-    NonconvergenceError is raised (chained from the bordered solve's error)
-    naming zeta and the bracket.
+    with every step, until the Newton tolerance and |defect| <=
+    ``shoot_tolerance`` are met.  Should the second one raise or miss that
+    tolerance, NonconvergenceError is raised (chained from the bordered
+    solve's error) naming zeta and the bracket.
     """
     return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions())
 
@@ -207,7 +197,7 @@ def _coarser(options: SolverOptions) -> SolverOptions | None:
 
 def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistence:
     """``solve_outlet`` on one level; calls itself for the coarser level."""
-    shoot_tol = shoot_tolerance(options, cfg)
+    shoot_tol = shoot_tolerance(cfg)
     cap = consts.zeta_cap
     if zeta >= cap * (1.0 - 1e-12):
         return Nonexistence(
@@ -221,11 +211,7 @@ def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistenc
         )
 
     def shoot(xi, donor=None, free_xi=False):
-        warm = None
-        if donor is not None:
-            grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
-            warm = interp_onto(grid, donor.grid, donor.Q)
-        field = solve_fixed(zeta, xi, cfg, gas, consts, options, x0=warm, free_xi=free_xi)
+        field = solve_fixed(zeta, xi, cfg, gas, consts, options, start=donor, free_xi=free_xi)
         return field, inlet_defect(field, gas, cfg)
 
     coarser = _coarser(options)
@@ -304,14 +290,17 @@ def _secant_point(lo, d_lo, hi, d_hi):
 # ---------------------------------------------------------------------------
 # Minimal detachment abscissa.
 
+#: The minimal-detachment search's floor and its bracket width, as
+#: fractions of zeta_hat.
+_FLOOR = 1e-3
+_ZETA_TOL = 1e-5
+
 
 def find_zeta_star(
     cfg: FlowConfig,
     gas: GasModel,
     consts: DerivedConstants,
     options: SolverOptions | None = None,
-    floor: float | None = None,
-    zeta_tol: float | None = None,
 ) -> ZetaStarResult:
     """Find the smallest detachment abscissa that still admits a flow.
 
@@ -320,15 +309,15 @@ def find_zeta_star(
     defect d satisfies g(zeta) = d + shoot_tol >= 0, which is
     ``solve_outlet``'s verdict on the same grid.  g increases in zeta, and
     ``numerics.shrink_bracket`` (the Illinois method) narrows its sign
-    change on [floor, zeta_hat] to ``zeta_tol`` (default 1e-5 * zeta_hat),
-    each cap shot started through ``interp_onto`` from the cap field of the
-    nearer bracket end (the cap shot at zeta_hat from the flow solved
-    there).  zeta_star is the final bracket's solvable end.  ``solve_outlet``
+    change on [floor, zeta_hat] to a width of 1e-5 zeta_hat (``_ZETA_TOL``),
+    each cap shot started from the cap field of the nearer bracket end (the
+    cap shot at zeta_hat from the flow solved there).  zeta_star is the
+    final bracket's solvable end.  ``solve_outlet``
     then runs at both ends: its flow at zeta_star is ``at_star``, and its
     Nonexistence just below gives ``cap_binding``.  Should either verdict
     differ from the cap shot's, NonconvergenceError is raised.
 
-    The search floor defaults to 1e-3 * zeta_hat: if even the floor's cap
+    The search floor is 1e-3 zeta_hat (``_FLOOR``): if even the floor's cap
     shot reads solvable the result is reported as zeta_star = 0.0 with
     ``floor_limited`` set (the family extends to arbitrarily small zeta as
     far as this resolution can see).  Every call runs the search afresh;
@@ -337,22 +326,15 @@ def find_zeta_star(
     reuse them instead of solving them again.
     """
     options = options or SolverOptions()
-    if floor is None:
-        floor = 1e-3 * consts.zeta_hat
-    if zeta_tol is None:
-        zeta_tol = 1e-5 * consts.zeta_hat
-    shoot_tol = shoot_tolerance(options, cfg)
+    floor = _FLOOR * consts.zeta_hat
+    shoot_tol = shoot_tolerance(cfg)
     cap = consts.zeta_cap
     cap_fields = {}
 
     def cap_shot(zeta, donor=None):
-        warm = None
         if donor is None and cap_fields:
             donor = cap_fields[min(cap_fields, key=lambda z: abs(z - zeta))]
-        if donor is not None:
-            grid = build_grid(zeta, cap, cfg.m, options.n_phi, options.n_psi, consts)
-            warm = interp_onto(grid, donor.grid, donor.Q)
-        field = solve_fixed(zeta, cap, cfg, gas, consts, options, x0=warm)
+        field = solve_fixed(zeta, cap, cfg, gas, consts, options, start=donor)
         cap_fields[zeta] = field
         return inlet_defect(field, gas, cfg) + shoot_tol
 
@@ -384,7 +366,9 @@ def find_zeta_star(
         )
     g_hat = cap_shot(consts.zeta_hat, sol_hat.field)
     br = numerics.shrink_bracket(
-        cap_shot, numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat), zeta_tol
+        cap_shot,
+        numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat),
+        _ZETA_TOL * consts.zeta_hat,
     )
     if br.hi >= consts.zeta_hat:
         raise NonconvergenceError(
@@ -404,6 +388,9 @@ def find_zeta_star(
 # ---------------------------------------------------------------------------
 # Radius matching.
 
+#: Tolerance on |wall_length - (R0 - R)| of a matched flow.
+_MATCH_TOL = 1e-7
+
 
 def match_R(
     R: float,
@@ -411,7 +398,6 @@ def match_R(
     gas: GasModel,
     consts: DerivedConstants,
     options: SolverOptions | None = None,
-    match_tol: float = 1e-7,
     zs: ZetaStarResult | None = None,
 ) -> FreeSolution:
     """Pick the detachment abscissa whose wetted wall length equals R0 - R.
@@ -424,7 +410,7 @@ def match_R(
     ``zs`` is the minimal-detachment search for this configuration when the
     caller already ran it; its solved endpoints bracket the match.  Inside
     that bracket ``numerics.shrink_bracket`` runs one ``solve_outlet`` per
-    step until |wall_length - (R0 - R)| <= match_tol.
+    step until |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``).
     """
     options = options or SolverOptions()
     if not (0.0 < R < cfg.R0):
@@ -454,7 +440,7 @@ def match_R(
     # grid-aware tolerance; interior root finding keeps the tight one.
     gh = consts.zeta_hat / options.n_phi
     k = cfg.m / options.n_psi
-    gate_tol = max(match_tol, 0.1 * (gh * gh + k * k))
+    gate_tol = max(_MATCH_TOL, 0.1 * (gh * gh + k * k))
     if abs(sol_hi.wall_length - target) <= gate_tol:
         return sol_hi
     if abs(sol_lo.wall_length - target) <= gate_tol:
@@ -498,7 +484,7 @@ def match_R(
             s * (sol_hi.wall_length - target),
         ),
         1e-13 * consts.zeta_hat,
-        ftol=match_tol,
+        ftol=_MATCH_TOL,
     )
     # After a width stop, the solved end whose wall length is nearer the target.
     ends = [(abs(f), z) for z, f in ((br.lo, br.f_lo), (br.hi, br.f_hi)) if z in sols]
@@ -518,7 +504,7 @@ def classify_radius(
     if R <= 0.0:
         raise ConstraintError(f"need a positive nozzle radius, got R = {R}")
     zs = find_zeta_star(cfg, gas, consts, options)
-    r_star = zs.r_equiv_at_star
+    r_star = zs.at_star.r_equiv
     if R >= cfg.R0:
         # No jet is as wide as the inlet itself, so any such radius demands
         # a non-positive wetted wall: too short for every detachment.

@@ -213,18 +213,18 @@ def mass_flux(gas: GasModel, q):
     return np.asarray(q, dtype=float) * gas.rho(q) if np.ndim(q) else q * gas.rho(q)
 
 
-def flux_A(gas: GasModel, q: float, tol: float = 1e-12) -> float:
-    """A(q) by adaptive quadrature from c*.  Subsonic only: 0 < q <= c*."""
+def flux_A(gas: GasModel, q: float) -> float:
+    """A(q) by adaptive quadrature from c*, to 1e-12.  Subsonic only: 0 < q <= c*."""
     if not 0.0 < q <= gas.c_star:
         raise ConstraintError(f"flux_A needs 0 < q <= c* = {gas.c_star}, got {q}")
-    return numerics.integrate_adaptive(lambda s: float(gas.a_prime(s)), gas.c_star, q, tol)
+    return numerics.integrate_adaptive(lambda s: float(gas.a_prime(s)), gas.c_star, q, 1e-12)
 
 
-def flux_B(gas: GasModel, q: float, tol: float = 1e-12) -> float:
-    """B(q) by adaptive quadrature from c*.  Subsonic only: 0 < q <= c*."""
+def flux_B(gas: GasModel, q: float) -> float:
+    """B(q) by adaptive quadrature from c*, to 1e-12.  Subsonic only: 0 < q <= c*."""
     if not 0.0 < q <= gas.c_star:
         raise ConstraintError(f"flux_B needs 0 < q <= c* = {gas.c_star}, got {q}")
-    return numerics.integrate_adaptive(lambda s: float(gas.b_prime(s)), gas.c_star, q, tol)
+    return numerics.integrate_adaptive(lambda s: float(gas.b_prime(s)), gas.c_star, q, 1e-12)
 
 
 def _narrowed_bracket(f, lo: float, hi: float, guess: float, pad: float) -> numerics.Bracket:
@@ -238,8 +238,8 @@ def _narrowed_bracket(f, lo: float, hi: float, guess: float, pad: float) -> nume
     return numerics.Bracket(lo, hi, f(lo), f(hi))
 
 
-def flux_A_inverse(gas: GasModel, a: float, tol: float = 1e-12) -> float:
-    """Speed q with A(q) = a, resolved to ``tol`` against the quadrature A.
+def flux_A_inverse(gas: GasModel, a: float) -> float:
+    """Speed q with A(q) = a, resolved to 1e-12 against the quadrature A.
 
     The admissible argument range is [A(q_floor), 0] with
     q_floor = Q_FLOOR_FRAC * c*; values outside raise ConstraintError.
@@ -254,11 +254,11 @@ def flux_A_inverse(gas: GasModel, a: float, tol: float = 1e-12) -> float:
         )
     f = lambda q: flux_A(gas, q) - a
     br = _narrowed_bracket(f, q_floor, gas.c_star, float(gas.fast_q_of_A(a)), 1e-6)
-    return numerics.find_root_monotone(f, br, tol)
+    return numerics.find_root_monotone(f, br, 1e-12)
 
 
-def mass_flux_inverse(gas: GasModel, j: float, tol: float = 1e-13) -> float:
-    """Subsonic speed with q rho(q^2) = j.  Requires 0 < j < c* rho(c*^2)."""
+def mass_flux_inverse(gas: GasModel, j: float) -> float:
+    """Subsonic speed with q rho(q^2) = j, to 1e-13.  Requires 0 < j < c* rho(c*^2)."""
     j_max = gas.c_star * gas.rho(gas.c_star)
     if not 0.0 < j < j_max:
         raise ConstraintError(
@@ -266,11 +266,11 @@ def mass_flux_inverse(gas: GasModel, j: float, tol: float = 1e-13) -> float:
         )
     f = lambda q: q * gas.rho(q) - j
     br = _narrowed_bracket(f, 0.5 * j, gas.c_star, float(gas.fast_q_of_j(j)), 1e-6)
-    return numerics.find_root_monotone(f, br, tol)
+    return numerics.find_root_monotone(f, br, 1e-13)
 
 
-def flux_E(gas: GasModel, s: float, tol: float = 1e-12) -> float:
-    """E(s) = A(B^{-1}(s)): the A-flux expressed against the B-flux."""
+def flux_E(gas: GasModel, s: float) -> float:
+    """E(s) = A(B^{-1}(s)): the A-flux expressed against the B-flux, B inverted to 1e-12."""
     if s > 0.0:
         raise ConstraintError(f"flux_B is nonpositive on the subsonic range, got s={s}")
     q_floor = Q_FLOOR_FRAC * gas.c_star
@@ -280,7 +280,7 @@ def flux_E(gas: GasModel, s: float, tol: float = 1e-12) -> float:
     f = lambda q: flux_B(gas, q) - s
     k = min(max(int(np.searchsorted(gas._b_knots, s)), 0), len(gas._q_knots) - 1)
     br = _narrowed_bracket(f, q_floor, gas.c_star, float(gas._q_knots[k]), 1e-4)
-    q = numerics.find_root_monotone(f, br, tol)
+    q = numerics.find_root_monotone(f, br, 1e-12)
     return flux_A(gas, q)
 
 

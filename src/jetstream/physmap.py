@@ -38,7 +38,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .checks import Check, angle_check, check
 from .errors import FoldOverError, NonconvergenceError
-from .fixedbvp import Grid, SpeedField
+from .fixedbvp import SpeedField
 from .gasdyn import FlowConfig, GasModel
 
 
@@ -50,7 +50,6 @@ class AngleField:
     ``theta_cross`` the inlet-anchored row integral kept for diagnostics;
     ``discrepancy`` their max mismatch and ``estimate`` its a priori bound."""
 
-    grid: Grid
     theta: np.ndarray
     theta_cross: np.ndarray
     discrepancy: float
@@ -165,7 +164,6 @@ def recover_theta(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> AngleFie
             estimate=estimate,
         )
     return AngleField(
-        grid=grid,
         theta=theta,
         theta_cross=theta_cross,
         discrepancy=discrepancy,
@@ -229,14 +227,6 @@ def reconstruct(
         outlet_curve=outlet_curve,
         mass_flux_out=mass_flux_out,
     )
-
-
-def boundary_curves(phys: PhysicalField) -> tuple[np.ndarray, np.ndarray]:
-    """The two a priori unknown boundary pieces: the free streamline W
-    (empty for a symmetric run) and the outlet curve J, as (n, 2) arrays.
-    They share the junction vertex at their final indices (exact equality),
-    so a consumer stitching the boundary drops one copy by index."""
-    return phys.free_streamline, phys.outlet_curve
 
 
 def geometry_checks(

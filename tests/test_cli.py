@@ -70,6 +70,14 @@ def test_unknown_key_exits_2_with_dotted_path(tmp_path):
     res = _run("solve-fixed", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert res.returncode == 2
     assert "outputs.formats" in res.stderr
+    # The solver section holds the grid only; the tolerance and iteration
+    # keys it once took are unknown keys too.
+    for key, value in (("tol", "1e-10"), ("max_iters", "100"), ("shoot_tol", "1e-8")):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("solver:\n", f"solver:\n  {key}: {value}\n"))
+        res = _run("solve-fixed", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert f"solver.{key}" in res.stderr
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

@@ -268,7 +268,7 @@ def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
     system = op.newton_matrix(f.Q)
     system.rhs = op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q))
     z = numerics.solve_banded(system)
-    border = fixedbvp._Border(zeta, consts, 1e-9, 64, 32, gas, cfg)
+    border = fixedbvp._Border(zeta, consts, 64, 32, gas, cfg)
     slope = border.gradient_dot(f.q[0, :], z, f.grid)
     h = 1e-4 * xi
     fields = [js.solve_fixed(zeta, x, cfg, gas, consts, opts64) for x in (xi + h, xi - h)]
@@ -323,7 +323,7 @@ def test_solve_fixed_warm_start_converges_immediately(gas, cfg, consts, opts64):
     zeta = 0.6 * consts.zeta_hat
     xi = 0.11
     f = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64)
-    f2 = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64, x0=f.Q)
+    f2 = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64, start=f)
     assert f2.newton_iters <= 1
     assert np.max(np.abs(f2.q - f.q)) < 1e-10
 
@@ -354,7 +354,7 @@ def test_bordered_solve_stops_when_xi_cannot_move(gas):
     # On the tight configuration this zeta has no root below the cap: the
     # bordered step would leave (zeta, R0 c_l).  Once the field has
     # converged at the last xi the solve raises instead of taking fixed-xi
-    # steps until max_iters.
+    # steps until the iteration cap.
     cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
     consts = js.derive_constants(gas, cfg)
     opts = js.SolverOptions(n_phi=64, n_psi=32)

@@ -7,7 +7,7 @@ import pytest
 
 import jetstream as js
 import oracle_data as od
-from jetstream import errors, freebnd, numerics
+from jetstream import errors, fixedbvp, freebnd, numerics
 from jetstream.fixedbvp import shoot_tolerance
 
 
@@ -184,7 +184,7 @@ def test_outlet_solve_that_regridded_without_end_now_converges(gas, opts64):
     consts = js.derive_constants(gas, cfg)
     sol = js.solve_outlet(0.1780163214, cfg, gas, consts, opts64)
     assert isinstance(sol, js.FreeSolution)
-    assert abs(sol.inlet_defect) <= shoot_tolerance(opts64, cfg)
+    assert abs(sol.inlet_defect) <= shoot_tolerance(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def test_zeta_star_floor_limited_on_desk_config(gas, cfg, consts, opts64):
     assert zs.floor_limited
     assert not zs.cap_binding
     assert zs.zeta_star < consts.zeta_hat
-    assert od.R_HAT < zs.r_equiv_at_star < od.R0
+    assert od.R_HAT < zs.at_star.r_equiv < od.R0
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["floor-limited", "cap-bound"])
@@ -315,7 +315,7 @@ def test_classify_runs_one_zeta_star_search(gas, cfg, consts, opts64, tight):
         cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
         consts = js.derive_constants(gas, cfg)
         opts = js.SolverOptions(n_phi=32, n_psi=16)
-        r_star = js.find_zeta_star(cfg, gas, consts, opts).r_equiv_at_star
+        r_star = js.find_zeta_star(cfg, gas, consts, opts).at_star.r_equiv
     else:
         opts, r_star = opts64, 0.9998
     R = 0.5 * (consts.R_hat + r_star)  # inside the window: EXISTS
@@ -353,7 +353,7 @@ def test_zeta_star_positive_when_cap_binds(gas):
     assert 0.0 < zs.zeta_star < consts.zeta_hat
     assert not zs.floor_limited
     assert zs.cap_binding
-    assert abs(zs.xi_at_star - consts.zeta_cap) <= 1e-5 * consts.zeta_cap
+    assert abs(zs.at_star.xi - consts.zeta_cap) <= 1e-5 * consts.zeta_cap
 
 
 def _final_bracket(cfg, gas, consts, opts):
@@ -391,7 +391,7 @@ def test_zeta_star_cap_shots_agree_with_solve_outlet(gas, cfg, consts, opts64, t
         assert [solvable for _, solvable in ends] == [False, True]
     sols = [js.solve_outlet(zeta, cfg, gas, consts, opts64) for zeta, _ in ends]
     assert [isinstance(sol, js.FreeSolution) for sol in sols] == [s for _, s in ends]
-    assert sols[-1].xi == zs.xi_at_star  # the flow at zeta_star (or the floor)
+    assert sols[-1].xi == zs.at_star.xi  # the flow at zeta_star (or the floor)
     if tight:
         below = js.solve_outlet(zs.zeta_star - zeta_tol, cfg, gas, consts, opts64)
         assert isinstance(below, js.Nonexistence)
@@ -502,11 +502,12 @@ def test_sweep_parallel_matches_serial(gas, cfg, consts, opts64):
         assert ra.xi == pytest.approx(rb.xi, abs=0.0)
 
 
-def test_sweep_honours_every_solver_option(gas, cfg, consts):
+def test_sweep_honours_every_solver_option(gas, cfg, consts, monkeypatch):
     # Two Newton iterations solve no free problem here, so every row of the
-    # sweep fails as solve_outlet itself does with the same options.
-    opts = js.SolverOptions(n_phi=64, n_psi=32, max_iters=2)
-    with pytest.raises(errors.NonconvergenceError):
+    # sweep fails as solve_outlet itself does under the same iteration cap.
+    opts = js.SolverOptions(n_phi=64, n_psi=32)
+    monkeypatch.setattr(fixedbvp, "_MAX_ITERS", 2)
+    with pytest.raises(errors.NonconvergenceError, match="2 iterations"):
         js.solve_outlet(0.5 * consts.zeta_hat, cfg, gas, consts, opts)
     rows = js.sweep_zeta(3, cfg, gas, consts, opts, floor=0.5 * consts.zeta_hat)
     assert [r.status for r in rows] == ["error"] * 3

@@ -89,9 +89,8 @@ def test_symmetric_outlet_arc_radius(sym_free_runs, gas, cfg):
 def test_symmetric_has_no_free_streamline(sym_free_runs, gas, cfg):
     sol = sym_free_runs[64]
     angles, phys = _recon(sol, gas, cfg)
-    free, outlet = js.boundary_curves(phys)
-    assert free.shape == (0, 2)
-    assert outlet.shape[0] == sol.field.grid.n_psi + 1
+    assert phys.free_streamline.shape == (0, 2)
+    assert phys.outlet_curve.shape[0] == sol.field.grid.n_psi + 1
 
 
 def test_inlet_arc_endpoints_and_radius(asym_free, gas, cfg):
