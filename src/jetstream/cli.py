@@ -299,6 +299,7 @@ def _field_stats(summary: RunSummary, field: SpeedField) -> None:
     summary.set("n_psi", field.grid.n_psi)
     summary.set("residual_norm", field.residual_norm)
     summary.set("newton_iters", field.newton_iters)
+    summary.set("back_solves", field.back_solves)
     summary.set("q_min", float(field.q.min()))
     summary.set("q_max", float(field.q.max()))
 

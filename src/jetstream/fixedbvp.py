@@ -53,6 +53,23 @@ by a per-grid roundoff estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable
 level of that norm in double precision, and a solve that has not met it
 after ``_MAX_ITERS`` = 100 factorizations raises NonconvergenceError.
 
+Chord steps (Shamanskii's method; Kelley, Solving Nonlinear Equations with
+Newton's Method, SIAM 2003, ch. 2-3): after a step, the next one is first
+tried with the last factorization (``numerics.back_solve``) at the current
+residual, at full length only, and kept when it cuts the residual (for a
+bordered solve, the line search's merit, the larger of the scaled residual
+and scaled defect) to at most ``_CHORD_DECREASE`` = 1/4 of its value or
+meets the convergence test.  A chord step follows only a full-length step,
+and it must leave R0 min q(0, psi) >= xi, the one condition of the
+certificate that depends on the iterate, so that a refactorization at the
+new iterate is certified.  Otherwise the Newton matrix is assembled,
+certified and factored again at the same iterate and the damped Newton
+step above is taken.  The matrix of every factorization so still
+carries the certificate, and the acceptance test is the same for both
+kinds of step.  ``newton_iters`` counts factorizations, ``back_solves`` the
+chord steps tried; from a coarse start a 512x128 solve takes 1
+factorization and 5-6 chord steps where Newton took 3 factorizations.
+
 Bordered row (``solve_fixed(..., free_xi=True)``): xi becomes one more
 unknown and the inlet mass-flux defect D(Q) one more equation (Keller's
 bordering algorithm).  The cell counts do not move with xi, so the nodes
@@ -63,7 +80,11 @@ the defect's gradient on the inlet column, the xi correction is
 still covers every factorized matrix.  The scalar Schur complement c.z is
 the slope d'(xi) of the defect along the solution family, positive by the
 defect's monotonicity in xi; a step where it is not positive (a start flat
-on [zeta, xi]) keeps xi fixed.
+on [zeta, xi]) keeps xi fixed.  A bordered chord step solves [r g] at the
+current iterate (g = dr/dxi on the current grid, c from the current inlet)
+with the last factorization and moves by y + dxi z; when the xi step is not
+available it is not tried and the solve refactors.  The "xi step is
+refused" failure is only declared after a freshly factorized step.
 """
 
 from __future__ import annotations
@@ -120,13 +141,16 @@ class Grid:
 @dataclass(frozen=True, eq=False)
 class SpeedField:
     """A solved (or injected) field on a Grid: Q = A(q) and the speed q at
-    every node, plus the Newton diagnostics of the solve that produced it."""
+    every node, plus the Newton diagnostics of the solve that produced it:
+    ``newton_iters`` counts its factorizations and ``back_solves`` its
+    chord steps, each one back-solve with the last factorization."""
 
     grid: Grid
     Q: np.ndarray
     q: np.ndarray
     residual_norm: float
     newton_iters: int
+    back_solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -430,6 +454,13 @@ class _Operator:
         eps = np.finfo(float).eps
         return 64.0 * eps * (qmax / self.h_min**2 + fmax / self.k**2)
 
+    def coercive(self, q0) -> bool:
+        """Whether the inlet speeds q0 keep R0 min q0 >= xi (to 1e-9 xi), so
+        that the inlet columns of the Newton matrix absorb the Robin term:
+        the one part of the certificate that depends on the iterate, F' > 0
+        holding on the whole clamp range."""
+        return self.cfg.R0 * float(np.min(q0)) - self.grid.xi >= -1e-9 * self.grid.xi
+
     def newton_matrix(self, Qfull):
         """Assemble M = -J in band storage and certify it is an M-matrix.
 
@@ -468,13 +499,12 @@ class _Operator:
         # --- M-matrix certificate: weighted column sums with w = xi + eps - phi.
         if self.fixed_inlet_flux is None and np.any(self.at_inlet):
             q_min = float(np.min(q0))
-            margin = self.cfg.R0 * q_min - self.grid.xi
-            if margin < -1e-9 * self.grid.xi:
+            if not self.coercive(q0):
                 raise SingularSystemError(
                     "inlet coercivity lost: R0 * min q(0,psi) = "
                     f"{self.cfg.R0 * q_min:.6g} < xi = {self.grid.xi:.6g}"
                 )
-            eps = max(1e-12 * self.grid.xi, margin)
+            eps = max(1e-12 * self.grid.xi, self.cfg.R0 * q_min - self.grid.xi)
         else:
             eps = self.grid.xi
         w = self.grid.xi + eps - self.phi_of_p
@@ -516,6 +546,13 @@ _MAX_ITERS = 100
 _DAMPING_FLOOR = 2.0**-20
 #: Smallest damping of a bordered step before the fixed-xi step is taken.
 _BORDERED_DAMPING_FLOOR = 2.0**-6
+#: A chord step is kept when it cuts the residual (bordered: the merit) to
+#: this fraction of its value, or converges.  Chord steps contract linearly,
+#: so a weaker rule trades a factorization for many slow steps: at 1/2 the
+#: 64x32 cap shots of a classify took ~20 chord steps each and ran ~10%
+#: slower than Newton alone, at 1/4 ~15% faster; 512x128 solves gain the
+#: same at both.
+_CHORD_DECREASE = 0.25
 
 
 def shoot_tolerance(cfg: FlowConfig) -> float:
@@ -589,11 +626,11 @@ class _Border:
 
 
 def _newton_solve(op: _Operator, Qfull0, border=None):
-    """Damped Newton on the finite-volume system.
+    """Damped Newton on the finite-volume system, with chord steps.
 
-    Returns (operator, Qfull, norm, factorizations); the operator's grid is
-    the one the field was solved on.  With ``border`` (a _Border) the outlet
-    potential xi is solved for too, see ``solve_fixed``.
+    Returns (operator, Qfull, norm, factorizations, back-solves); the
+    operator's grid is the one the field was solved on.  With ``border`` (a
+    _Border) the outlet potential xi is solved for too, see ``solve_fixed``.
     """
     Qfull = Qfull0.copy()
     Qfull[~op.free] = op.a_ce
@@ -602,14 +639,17 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
     r = op.residual(Qfull, F)
     norm = op.density_norm(r)
     tol_eff = max(_NEWTON_TOL, op.roundoff_floor(Qfull, F))
-    D = q0 = scale = shoot_tol = None
+    D = q0 = scale = merit = shoot_tol = None
     if border is not None:
         D, q0 = border.defect(Qfull, op.grid)
         shoot_tol = shoot_tolerance(border.cfg)
 
-    def trial(delta, dxi, lam):
+    def trial(delta, dxi, lam, chord=False):
         # The state after the step (delta, dxi) damped by lam if the line
-        # search accepts it, else None; reads the current iterate.
+        # search accepts it, else None; reads the current iterate.  A chord
+        # step must cut the residual (bordered: the merit) by
+        # _CHORD_DECREASE and keep the Newton matrix certifiable, so that
+        # the refactorization it may need is not refused.
         op_t = op
         if dxi != 0.0:
             try:
@@ -618,11 +658,18 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
                 return None
         Q_t = Qfull.copy()
         Q_t[op.free] = np.clip(Qfull[op.free] + lam * delta, op.a_floor, op.a_ce)
+        if (
+            chord
+            and op.fixed_inlet_flux is None
+            and not op_t.coercive(op.gas.fast_q_of_A(Q_t[0, :]))
+        ):
+            return None
+        decrease = _CHORD_DECREASE if chord else 1.0 - 0.25 * lam
         F_t = op.gas.fast_F_of_A(Q_t)
         r_t = op_t.residual(Q_t, F_t)
         norm_t = op_t.density_norm(r_t)
         if dxi == 0.0:
-            if not (norm_t <= (1.0 - 0.25 * lam) * norm or norm_t <= tol_eff):
+            if not (norm_t <= decrease * norm or norm_t <= tol_eff):
                 return None
             D_t = q0_t = None
             if border is not None:
@@ -631,80 +678,98 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
             D_t, q0_t = border.defect(Q_t, op_t.grid)
             merit_t = max(norm_t / scale[0], abs(D_t) / scale[1])
             if not (
-                merit_t <= (1.0 - 0.25 * lam) * merit
+                merit_t <= decrease * merit
                 or (norm_t <= tol_eff and abs(D_t) <= shoot_tol)
             ):
                 return None
         return op_t, Q_t, F_t, r_t, norm_t, D_t, q0_t, dxi
 
-    it = 0
+    def candidates(solve):
+        # Steps (dQ, dxi, smallest damping) at the current iterate, in the
+        # order they are tried; ``solve`` applies M^-1 to an (n,) or (n, 2)
+        # right-hand side.
+        nonlocal scale, merit
+        if border is None:
+            return [(solve(r), 0.0, _DAMPING_FLOOR)]
+        # Two right-hand sides: y = M^-1 r is the fixed-xi step, z =
+        # M^-1 dr/dxi the field's slope dQ/dxi.  The Schur complement c.z is
+        # the defect's slope d'(xi), positive by the defect's monotonicity.
+        # The bordered step comes first when the slope is positive and the
+        # step keeps xi inside (zeta, R0 c_l); the fixed-xi step y is the
+        # fallback (a start flat on [zeta, xi], or a failed line search).
+        rhs = np.empty((op.n_free, 2), order="F")  # as LAPACK stores it
+        rhs[:, 0] = r
+        rhs[:, 1] = op.dr_dxi(Qfull, F)
+        yz = solve(rhs)
+        y, z = yz[:, 0], yz[:, 1]
+        cy = border.gradient_dot(q0, y, op.grid)
+        if scale is None:
+            # The merit scales the residual by its starting value and the
+            # defect by the larger of its starting value and the first field
+            # correction's change of it, c.y: a start close to the root (a
+            # coarse solution) has a tiny defect that the first correction
+            # alone moves by orders of magnitude more.
+            scale = (max(norm, tol_eff), max(abs(D), abs(cy), shoot_tol))
+        merit = max(norm / scale[0], abs(D) / scale[1])
+        steps = [(y, 0.0, _DAMPING_FLOOR)]
+        slope = border.gradient_dot(q0, z, op.grid)
+        if slope > 0.0:
+            dxi = -(D + cy) / slope
+            if border.zeta < op.grid.xi + dxi < border.consts.zeta_cap:
+                steps.insert(0, (y + dxi * z, dxi, _BORDERED_DAMPING_FLOOR))
+        return steps
+
+    def factor(rhs):
+        sys.rhs = rhs
+        return numerics.solve_banded(sys)
+
+    sys = None  # the last factorized Newton matrix, its LU on sys.lu
+    full = False  # whether the last step was taken at full length
+    it = back_solves = 0
     while True:
         if norm <= tol_eff and (border is None or abs(D) <= shoot_tol):
-            return op, Qfull, norm, it
-        if it == _MAX_ITERS:
-            raise NonconvergenceError(
-                f"Newton did not reach {tol_eff:.3e} in {_MAX_ITERS} iterations "
-                f"(residual {norm:.3e})",
-                estimate=norm,
-            )
-        it += 1
-        sys = op.newton_matrix(Qfull)
-        # Candidate steps (dQ, dxi, smallest damping), tried in order.
-        if border is None:
-            sys.rhs = r
-            steps = [(numerics.solve_banded(sys), 0.0, _DAMPING_FLOOR)]
-        else:
-            # One factorization, two right-hand sides: y = M^-1 r is the
-            # fixed-xi step, z = M^-1 dr/dxi the field's slope dQ/dxi.  The
-            # Schur complement c.z is the defect's slope d'(xi), positive by
-            # the defect's monotonicity.  The bordered step is tried first,
-            # with a short line search on a merit, when the slope is
-            # positive and the step keeps xi inside (zeta, R0 c_l);
-            # otherwise (a start flat on [zeta, xi]) or when it fails, the
-            # fixed-xi step y is taken.
-            sys.rhs = np.empty((op.n_free, 2), order="F")  # as LAPACK stores it
-            sys.rhs[:, 0] = r
-            sys.rhs[:, 1] = op.dr_dxi(Qfull, F)
-            yz = numerics.solve_banded(sys)
-            y, z = yz[:, 0], yz[:, 1]
-            cy = border.gradient_dot(q0, y, op.grid)
-            if scale is None:
-                # The merit scales the residual by its starting value and
-                # the defect by the larger of its starting value and the
-                # first field correction's change of it, c.y: a start close
-                # to the root (a coarse solution) has a tiny defect that the
-                # first correction alone moves by orders of magnitude more.
-                scale = (max(norm, tol_eff), max(abs(D), abs(cy), shoot_tol))
-            steps = [(y, 0.0, _DAMPING_FLOOR)]
-            slope = border.gradient_dot(q0, z, op.grid)
-            if slope > 0.0:
-                dxi = -(D + cy) / slope
-                if border.zeta < op.grid.xi + dxi < border.consts.zeta_cap:
-                    steps.insert(0, (y + dxi * z, dxi, _BORDERED_DAMPING_FLOOR))
-            merit = max(norm / scale[0], abs(D) / scale[1])
+            return op, Qfull, norm, it, back_solves
         accepted = None
-        for delta, dxi, lam_min in steps:
-            lam = 1.0
-            while accepted is None and lam >= lam_min:
-                accepted = trial(delta, dxi, lam)
-                lam *= 0.5
-            if accepted is not None:
-                break
+        if full:
+            # Chord step: the last factorization, at full length only; after
+            # a damped step the iterate is too far from where it was made.
+            back_solves += 1
+            delta, dxi, _ = candidates(lambda rhs: numerics.back_solve(sys, rhs))[0]
+            if border is None or dxi != 0.0:
+                accepted = trial(delta, dxi, 1.0, chord=True)
         if accepted is None:
-            raise NonconvergenceError(
-                f"Newton line search stalled at residual {norm:.3e} "
-                f"(tol {tol_eff:.3e})",
-                estimate=norm,
-            )
-        if border is not None and accepted[-1] == 0.0 and norm <= tol_eff:
-            # Q already solves the problem at this xi and the xi step was
-            # refused (it leaves (zeta, R0 c_l) or fails its line search):
-            # fixed-xi steps cannot reduce the defect.
-            raise NonconvergenceError(
-                f"bordered Newton stalled at xi = {op.grid.xi:.10g} with "
-                f"defect {D:.3e}: the xi step is refused",
-                estimate=D,
-            )
+            if it == _MAX_ITERS:
+                raise NonconvergenceError(
+                    f"Newton did not reach {tol_eff:.3e} in {_MAX_ITERS} iterations "
+                    f"(residual {norm:.3e})",
+                    estimate=norm,
+                )
+            it += 1
+            sys = None  # let the last matrix go before the next is assembled
+            sys = op.newton_matrix(Qfull)
+            for delta, dxi, lam_min in candidates(factor):
+                lam = 1.0
+                while accepted is None and lam >= lam_min:
+                    accepted = trial(delta, dxi, lam)
+                    full = lam == 1.0
+                    lam *= 0.5
+                if accepted is not None:
+                    break
+            if accepted is None:
+                raise NonconvergenceError(
+                    f"Newton line search stalled at residual {norm:.3e} "
+                    f"(tol {tol_eff:.3e})",
+                    estimate=norm,
+                )
+            if border is not None and accepted[-1] == 0.0 and norm <= tol_eff:
+                # Q already solves the problem at this xi and the xi step was
+                # refused (it leaves (zeta, R0 c_l) or fails its line
+                # search): fixed-xi steps cannot reduce the defect.
+                raise NonconvergenceError(
+                    f"bordered Newton stalled at xi = {op.grid.xi:.10g} with "
+                    f"defect {D:.3e}: the xi step is refused",
+                    estimate=D,
+                )
         op, Qfull, F, r, norm, D, q0, _ = accepted
 
 
@@ -733,7 +798,8 @@ def solve_fixed(
     converged field satisfies the Dirichlet data exactly, and must pass
     ``checks.field_checks`` (the speed bounds c_l <= q <= c_e and
     monotonicity in both coordinates, on every node) or ConstraintError is
-    raised.  ``newton_iters`` counts the factorizations.
+    raised.  ``newton_iters`` counts the factorizations and ``back_solves``
+    the chord steps.
 
     With ``free_xi`` the given xi is only the starting value of the outlet
     potential, which becomes one more unknown pinned by the inlet mass flux
@@ -756,13 +822,18 @@ def solve_fixed(
         border = _Border(zeta, consts, options.n_phi, options.n_psi, gas, cfg)
     # The operator is handed over, not kept here: a bordered solve replaces
     # it with one per xi it moves to.
-    op, Qfull, norm, iters = _newton_solve(
+    op, Qfull, norm, iters, back_solves = _newton_solve(
         _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l)), Q0, border
     )
     q = np.asarray(gas.fast_q_of_A(Qfull))
     q[~op.free] = consts.c_e
     field = SpeedField(
-        grid=op.grid, Q=Qfull, q=q, residual_norm=norm, newton_iters=iters
+        grid=op.grid,
+        Q=Qfull,
+        q=q,
+        residual_norm=norm,
+        newton_iters=iters,
+        back_solves=back_solves,
     )
     require(field_checks(field, consts))
     return field
@@ -829,7 +900,7 @@ def picard_T(
         grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux
     )
     Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-    _, Qfull, _, _ = _newton_solve(op, Q0)
+    _, Qfull, _, _, _ = _newton_solve(op, Q0)
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))
 
 

@@ -5,16 +5,31 @@ search), adaptive Gauss-Kronrod quadrature, banded linear solves
 (LAPACK-backed) with a residual check, and log-log power-law fits.
 Everything here is deterministic: no randomness, no time-dependent state,
 fixed summation orders.
+
+Banded solves factor in place.  ``solve_banded`` copies the band into one
+Fortran-ordered (2l + u + 1)-row work array per (l, u), kept per thread and
+reused by every later system of that band (grown when a system has more
+columns), factors it there with LAPACK ``dgbtrf`` and solves with
+``dgbtrs``: the same two routines ``gbsv`` runs, so the solution is bitwise
+that of ``scipy.linalg.solve_banded``, without a fresh ~200 MB array per
+call at 512x128 cells.  The factorization stays on the system
+(``BandedSystem.lu``); ``back_solve`` solves further right-hand sides with
+it, at the cost of two triangular sweeps.  The next factorization of the
+same band overwrites the work array, so a handle from before it is stale
+and ``back_solve`` refuses it.  Every solve, first or later, passes the same
+residual check; its occupied band rows and ||A|| are found once per
+factorization.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConstraintError, NonconvergenceError, SingularSystemError
 
@@ -100,6 +115,63 @@ class BandedSystem:
     u: int
     ab: np.ndarray
     rhs: np.ndarray
+    #: The LU factorization ``solve_banded`` left, for ``back_solve``.
+    lu: "_LU | None" = field(default=None, repr=False)
+
+
+class _Work:
+    """A thread's work array for one band (l, u): Fortran-ordered, with
+    2l + u + 1 rows (room for the fill-in of pivoting) and at least as many
+    columns as the largest system factored in it.  It grows with 1/8 spare
+    columns, since the unknown count of one grid size moves a little with
+    zeta; columns never factored in are never touched, so they cost address
+    space but no memory.  ``generation`` counts the factorizations made in
+    it."""
+
+    def __init__(self, rows: int):
+        self.array = np.empty((rows, 0), order="F")
+        self.generation = 0
+
+    def take(self, n: int) -> np.ndarray:
+        """The first n columns, for a new factorization; any handle to an
+        earlier one goes stale."""
+        rows, cols = self.array.shape
+        if cols < n:
+            self.array = None  # let the old array go before the new one is made
+            self.array = np.empty((rows, n + n // 8), order="F")
+        self.generation += 1
+        return self.array[:, :n]
+
+
+@dataclass(frozen=True)
+class _LU:
+    """One factorization in a work array, with what the residual check
+    needs of the matrix: its occupied band rows and ||A||_inf."""
+
+    work: _Work
+    generation: int
+    piv: np.ndarray
+    rows: list
+    norm_A: float
+
+    def factors(self, n: int) -> np.ndarray:
+        if self.generation != self.work.generation:
+            raise ConstraintError(
+                "banded factorization is stale: its work array has been "
+                "refactored since"
+            )
+        return self.work.array[:, :n]
+
+
+_THREAD = threading.local()
+
+
+def _work(l: int, u: int) -> _Work:
+    """This thread's work array for the band (l, u)."""
+    spaces = _THREAD.__dict__.setdefault("spaces", {})
+    if (l, u) not in spaces:
+        spaces[l, u] = _Work(2 * l + u + 1)
+    return spaces[l, u]
 
 
 def shrink_bracket(f, bracket: Bracket, tol: float, ftol: float = 0.0) -> Bracket:
@@ -262,8 +334,10 @@ def banded_matvec(
 def solve_banded(sys: BandedSystem) -> np.ndarray:
     """Solve the banded system by LU with partial pivoting confined to the band.
 
-    Backed by LAPACK's banded solver gbsv.  ``rhs`` is a vector (n,) or a
-    block of right-hand sides (n, k) that share one factorization.  Every
+    Factors a copy of ``ab`` in place in this thread's work array for the
+    band (LAPACK dgbtrf) and solves with dgbtrs; the factorization is left
+    on ``sys.lu`` for ``back_solve``.  ``rhs`` is a vector (n,) or a block
+    of right-hand sides (n, k) that share one factorization.  Every
     solution column is verified by an explicit residual check:
     ||Ax - b|| <= 1e-10 * max(1, ||b||) for well-conditioned systems,
     relaxing to the backward-stability scale eps*(||A|| ||x|| + ||b||) when
@@ -275,20 +349,16 @@ def solve_banded(sys: BandedSystem) -> np.ndarray:
             f"band storage shape {sys.ab.shape} does not match "
             f"(l+u+1, n) = ({sys.l + sys.u + 1}, {sys.n})"
         )
-    if sys.rhs.ndim not in (1, 2) or sys.rhs.shape[0] != sys.n:
-        raise ConstraintError(f"rhs shape {sys.rhs.shape} does not match n={sys.n}")
-    try:
-        x = scipy.linalg.solve_banded(
-            (sys.l, sys.u), sys.ab, sys.rhs, check_finite=False
+    sys.lu = None
+    work = _work(sys.l, sys.u)
+    ab = work.take(sys.n)
+    ab[sys.l :] = sys.ab
+    _, piv, info = dgbtrf(ab, sys.l, sys.u, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystemError(
+            f"banded factorization failed: zero pivot in column {info - 1}"
         )
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"banded factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("banded solve produced non-finite entries")
     rows = _band_rows(sys)
-    # Column-wise infinity norms (scalars for a single right-hand side).
-    rnorm = np.max(np.abs(banded_matvec(sys, x, rows) - sys.rhs), axis=0)
-    norm_b = np.max(np.abs(sys.rhs), axis=0)
     # Row sums of |A| give ||A||_inf without leaving band storage.
     rowsum = np.zeros(sys.n)
     for d, diag in rows:
@@ -296,14 +366,35 @@ def solve_banded(sys: BandedSystem) -> np.ndarray:
             rowsum[: sys.n - d] += np.abs(diag[d:])
         else:
             rowsum[-d:] += np.abs(diag[: sys.n + d])
-    norm_A = float(rowsum.max())
+    sys.lu = _LU(work, work.generation, piv, rows, float(rowsum.max()))
+    return back_solve(sys, sys.rhs)
+
+
+def back_solve(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs with the factorization ``solve_banded`` left on
+    ``sys``, under the same residual check.  ``rhs`` is (n,) or (n, k).
+    Raises ConstraintError when ``sys`` has no factorization or its work
+    array has been refactored since (a stale handle)."""
+    if sys.lu is None:
+        raise ConstraintError("back_solve needs a system factored by solve_banded")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != sys.n:
+        raise ConstraintError(f"rhs shape {rhs.shape} does not match n={sys.n}")
+    lu = sys.lu
+    x, info = dgbtrs(lu.factors(sys.n), sys.l, sys.u, rhs, lu.piv)
+    if info != 0:
+        raise ConstraintError(f"dgbtrs rejected argument {-info}")
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("banded solve produced non-finite entries")
+    # Column-wise infinity norms (scalars for a single right-hand side).
+    rnorm = np.max(np.abs(banded_matvec(sys, x, lu.rows) - rhs), axis=0)
+    norm_b = np.max(np.abs(rhs), axis=0)
     norm_x = np.max(np.abs(x), axis=0)
     # Well-conditioned systems meet the tight bound; beyond it, accept
     # anything backward-stable and flag the rest as numerically singular.
     eps = float(np.finfo(float).eps)
     bound = np.maximum(
         1e-10 * np.maximum(1.0, norm_b),
-        1e3 * eps * (norm_A * norm_x + norm_b),
+        1e3 * eps * (lu.norm_A * norm_x + norm_b),
     )
     rnorm, bound = np.atleast_1d(rnorm), np.atleast_1d(bound)
     bad = np.flatnonzero(rnorm > bound)

@@ -262,3 +262,17 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         outs.append(out)
     for name in ("summary.kv", "field.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_summary_counts_back_solves_next_to_factorizations(tmp_path):
+    # The chord steps of the solve that gave the field are a deterministic
+    # count, written right after the factorizations.
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "o"
+    res = _run("solve-fixed", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    keys = [line.partition("=")[0] for line in (out / "summary.kv").read_text().splitlines()]
+    assert keys[keys.index("newton_iters") + 1] == "back_solves"
+    values = _read_summary(out)
+    assert int(values["newton_iters"]) >= 1
+    assert int(values["back_solves"]) >= 1

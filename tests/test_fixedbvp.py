@@ -328,6 +328,35 @@ def test_solve_fixed_warm_start_converges_immediately(gas, cfg, consts, opts64):
     assert np.max(np.abs(f2.q - f.q)) < 1e-10
 
 
+def test_solve_fixed_counts_its_chord_steps(gas, cfg, consts, opts64):
+    # A cold solve on the desk config factors once and finishes on chord
+    # steps with that factorization; the counts repeat exactly.
+    zeta, xi = 0.6 * consts.zeta_hat, 0.11
+    fields = [js.solve_fixed(zeta, xi, cfg, gas, consts, opts64) for _ in range(2)]
+    f = fields[0]
+    assert f.newton_iters >= 1
+    assert f.back_solves >= 1
+    assert (f.newton_iters, f.back_solves) == (fields[1].newton_iters, fields[1].back_solves)
+    assert np.array_equal(f.Q, fields[1].Q)
+
+
+def test_chord_step_keeps_the_newton_matrix_certifiable(gas):
+    # zeta_hat sits 0.6% below the cap here, so the symmetric flow has
+    # R0 min q(0, psi) barely above xi.  A chord step from the first
+    # factorization halves the residual but drops the inlet speed to 0.203
+    # < xi = 0.228; kept, its refactorization would fail the certificate
+    # ("inlet coercivity lost").  It is refused and Newton refactors.
+    cfg = js.FlowConfig(
+        R0=1.0, vartheta=0.5500906822597853, m=0.13596355428611936, c_e=0.7817266307914738
+    )
+    consts = js.derive_constants(gas, cfg)
+    opts = js.SolverOptions(n_phi=64, n_psi=32)
+    f = js.solve_fixed(consts.zeta_hat, consts.zeta_hat, cfg, gas, consts, opts)
+    assert f.back_solves >= 1
+    sym = js.SymmetricSolution(gas, cfg, consts)
+    assert np.max(np.abs(f.q - sym.q_hat(f.grid.phi_nodes)[:, None])) < 1e-9
+
+
 def test_solve_fixed_field_structure(asym_free, gas, consts):
     f = asym_free.field
     iz = f.grid.zeta_index

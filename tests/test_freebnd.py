@@ -105,13 +105,15 @@ def test_bordered_outlet_keeps_the_secant_answers(gas, cfg, consts, frac, n_phi,
 
 
 def test_bordered_outlet_factorizes_less_than_the_secant_shoot(gas, cfg, consts, opts128):
-    # The secant shoot of commit 7be6648 factorized 26 times here.
+    # The secant shoot of commit 7be6648 factorized 26 times here, and plain
+    # damped Newton on the coarse-start ladder 15 times; with chord steps
+    # the four Newton solves of this zeta factorize 1, 2, 2 and 1 times.
     with mock.patch.object(
         numerics, "solve_banded", wraps=numerics.solve_banded
     ) as lu:
         sol = js.solve_outlet(0.6 * consts.zeta_hat, cfg, gas, consts, opts128)
     assert isinstance(sol, js.FreeSolution)
-    assert lu.call_count <= 0.7 * 26
+    assert lu.call_count <= 6
 
 
 def test_failed_bordered_solve_raises_without_a_second_search(gas, cfg, consts, opts64):
@@ -240,6 +242,22 @@ def test_coarse_start_skips_the_fine_endpoint_shots(gas, cfg, consts, opts128):
     # A 128x64 grid has at least 128 * 64 free nodes, the 64x32 level at
     # most (2 * 64 + 1) * 33 (graded grids keep <= 2 n_phi cells).
     assert sum(1 for n in unknowns if n >= 128 * 64) <= 5
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+def test_requested_grid_factorizes_at_most_twice_after_a_coarse_start(
+    gas, cfg, consts, opts128, frac
+):
+    # From the 64x32 flow the bordered solve on the requested grid factors
+    # its Newton matrix once or twice and takes chord steps with it (plain
+    # damped Newton factorized 3 times here).
+    solves, unknowns, (fixed, banded) = _record_solves()
+    with fixed, banded:
+        sol = js.solve_outlet(frac * consts.zeta_hat, cfg, gas, consts, opts128)
+    assert isinstance(sol, js.FreeSolution)
+    assert [s for s in solves if s[0] == 128] == [(128, 64, True)]
+    assert sol.field.back_solves > 0
+    assert 1 <= sum(1 for n in unknowns if n >= 128 * 64) <= 2
 
 
 @pytest.mark.parametrize("coarse", ["nonexistence", "raises"])
@@ -503,15 +521,16 @@ def test_sweep_parallel_matches_serial(gas, cfg, consts, opts64):
 
 
 def test_sweep_honours_every_solver_option(gas, cfg, consts, monkeypatch):
-    # Two Newton iterations solve no free problem here, so every row of the
+    # With no factorization allowed no free problem is solved (one, with its
+    # chord steps, already solves the symmetric row), so every row of the
     # sweep fails as solve_outlet itself does under the same iteration cap.
     opts = js.SolverOptions(n_phi=64, n_psi=32)
-    monkeypatch.setattr(fixedbvp, "_MAX_ITERS", 2)
-    with pytest.raises(errors.NonconvergenceError, match="2 iterations"):
+    monkeypatch.setattr(fixedbvp, "_MAX_ITERS", 0)
+    with pytest.raises(errors.NonconvergenceError, match="in 0 iterations"):
         js.solve_outlet(0.5 * consts.zeta_hat, cfg, gas, consts, opts)
     rows = js.sweep_zeta(3, cfg, gas, consts, opts, floor=0.5 * consts.zeta_hat)
     assert [r.status for r in rows] == ["error"] * 3
-    assert all("2 iterations" in r.message for r in rows)
+    assert all("in 0 iterations" in r.message for r in rows)
 
 
 def test_sweep_needs_three_points(gas, cfg, consts, opts64):

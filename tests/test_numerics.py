@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import jetstream as js
 import oracle_data as od
@@ -170,16 +171,60 @@ def test_solve_banded_rejects_a_corrupted_column():
     rng = np.random.default_rng(9)
     sys = _random_banded(rng, 40, 3, 2)
     sys.rhs = np.column_stack([sys.rhs, rng.uniform(-1.0, 1.0, sys.n)])
-    lapack = numerics.scipy.linalg.solve_banded
+    lapack = numerics.dgbtrs
 
     def corrupted(*args, **kwargs):
-        x = lapack(*args, **kwargs)
+        x, info = lapack(*args, **kwargs)
         x[7, 1] += 1e-6
-        return x
+        return x, info
 
-    with mock.patch.object(numerics.scipy.linalg, "solve_banded", corrupted):
+    with mock.patch.object(numerics, "dgbtrs", corrupted):
         with pytest.raises(errors.SingularSystemError, match="column 1"):
             numerics.solve_banded(sys)
+
+
+@pytest.mark.parametrize("l, u", [(3, 2), (2, 5), (6, 6), (0, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_banded_is_bitwise_scipy(l, u, k):
+    # The in-place dgbtrf/dgbtrs pair runs what scipy's gbsv runs, so the
+    # answer is the same to the bit, also in a work array that still holds
+    # an earlier factorization of the same band.
+    rng = np.random.default_rng(100 * l + 10 * u + k)
+    for n in (50, 37, 80):
+        sys = _random_banded(rng, n, l, u)
+        if k == 2:
+            sys.rhs = np.column_stack([sys.rhs, rng.uniform(-1.0, 1.0, n)])
+        x = numerics.solve_banded(sys)
+        ref = scipy.linalg.solve_banded((l, u), sys.ab, sys.rhs)
+        assert x.shape == ref.shape
+        assert np.array_equal(x, ref)
+
+
+def test_back_solve_matches_a_fresh_solve():
+    rng = np.random.default_rng(11)
+    sys = _random_banded(rng, 70, 4, 2)
+    numerics.solve_banded(sys)
+    rhs = np.column_stack([rng.uniform(-1.0, 1.0, sys.n) for _ in range(2)])
+    x = numerics.back_solve(sys, rhs)
+    assert np.array_equal(numerics.back_solve(sys, rhs[:, 1]), x[:, 1])
+    fresh = numerics.BandedSystem(sys.n, sys.l, sys.u, sys.ab.copy(), rhs)
+    assert np.array_equal(x, numerics.solve_banded(fresh))
+
+
+def test_back_solve_refuses_a_stale_handle():
+    # A later factorization of the same band overwrites the work array the
+    # first one lives in: the first handle must refuse, not solve against
+    # the other matrix.
+    rng = np.random.default_rng(12)
+    first, second = _random_banded(rng, 50, 3, 3), _random_banded(rng, 50, 3, 3)
+    numerics.solve_banded(first)
+    numerics.solve_banded(second)
+    with pytest.raises(errors.ConstraintError, match="stale"):
+        numerics.back_solve(first, first.rhs)
+    numerics.back_solve(second, second.rhs)
+    # A system that was never factored has no handle at all.
+    with pytest.raises(errors.ConstraintError):
+        numerics.back_solve(_random_banded(rng, 50, 3, 3), first.rhs)
 
 
 def test_fit_power_exponent_recovers_planted_law():
