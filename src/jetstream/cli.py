@@ -228,37 +228,39 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # csv writes a Python float as its repr, as _fmt does: the shortest
+    # string that reads back to the same float.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _node_rows(grid, *values: np.ndarray):
+    """Rows (phi, psi, the given nodal values) phi-major, one phi column
+    at a time, so no array or list of the whole table is built."""
+    n_psi = len(grid.psi_nodes)
+    for i, phi in enumerate(grid.phi_nodes):
+        column = [np.full(n_psi, phi), grid.psi_nodes] + [v[i] for v in values]
+        yield from np.column_stack(column).tolist()
 
 
 def _write_field_csv(path: Path, field: SpeedField, theta: np.ndarray) -> None:
-    grid = field.grid
-
-    def rows():
-        for i, p in enumerate(grid.phi_nodes):
-            for j, s in enumerate(grid.psi_nodes):
-                yield (p, s, field.q[i, j], field.Q[i, j], theta[i, j])
-
-    _write_csv(path, ["phi[-]", "psi[-]", "q[-]", "Q[-]", "theta[rad]"], rows())
+    _write_csv(
+        path,
+        ["phi[-]", "psi[-]", "q[-]", "Q[-]", "theta[rad]"],
+        _node_rows(field.grid, field.q, field.Q, theta),
+    )
 
 
 def _write_coords_csv(path: Path, field: SpeedField, phys) -> None:
-    grid = field.grid
-
-    def rows():
-        for i, p in enumerate(grid.phi_nodes):
-            for j, s in enumerate(grid.psi_nodes):
-                yield (p, s, phys.x[i, j], phys.y[i, j])
-
-    _write_csv(path, ["phi[-]", "psi[-]", "x[len]", "y[len]"], rows())
+    _write_csv(
+        path, ["phi[-]", "psi[-]", "x[len]", "y[len]"], _node_rows(field.grid, phys.x, phys.y)
+    )
 
 
 def _write_curve_csv(path: Path, curve: np.ndarray) -> None:
-    _write_csv(path, ["x[len]", "y[len]"], ((p[0], p[1]) for p in curve))
+    _write_csv(path, ["x[len]", "y[len]"], curve.tolist())
 
 
 def _write_summary(path: Path, summary: RunSummary) -> None:

@@ -104,7 +104,6 @@ from .gasdyn import (
     GasModel,
     Q_FLOOR_FRAC,
     derive_constants,
-    flux_A,
 )
 
 
@@ -464,7 +463,7 @@ class _Operator:
     def newton_matrix(self, Qfull):
         """Assemble M = -J in band storage and certify it is an M-matrix.
 
-        Returns (BandedSystem with rhs unset, diag, offdiag scatter data).
+        Returns the BandedSystem, its rhs unset.
         """
         gas = self.gas
         ii, jj = self.ii, self.jj
@@ -812,7 +811,7 @@ def solve_fixed(
     """
     options = options or SolverOptions()
     grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
-    a_ce = flux_A(gas, consts.c_e)
+    a_ce = consts.a_ce
     if start is not None:
         Q0 = interp_onto(grid, start.grid, start.Q)
     else:
@@ -852,7 +851,7 @@ def assemble_residual(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.n
     """
     grid = field.grid
     consts = derive_constants(gas, cfg)
-    a_ce = flux_A(gas, consts.c_e)
+    a_ce = consts.a_ce
     op = _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l))
     r = op.residual(field.Q)
     out = np.empty_like(field.Q)
@@ -894,7 +893,7 @@ def picard_T(
         trace = np.broadcast_to(np.asarray(g, dtype=float), psi.shape).copy()
     if not (np.all(trace >= consts.c_l - 1e-12) and np.all(trace < gas.c_star)):
         raise ConstraintError("inlet profile must lie in [c_l, c*)")
-    a_ce = flux_A(gas, consts.c_e)
+    a_ce = consts.a_ce
     flux = 1.0 / (cfg.R0 * trace * np.asarray(gas.rho(trace)))
     op = _Operator(
         grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux

@@ -90,16 +90,12 @@ class ZetaStarResult:
     """Outcome of the minimal-detachment search.
 
     floor_limited means the search floor itself was solvable, so zeta_star
-    is reported as 0.0; cap_binding means the unsolvable side of the final
-    bracket failed because the outlet potential hit the cap R0 c_l (for a
-    floor-limited search: the outlet potential at the floor already sits on
-    the cap).  ``at_star`` is the solved flow at zeta_star (the floor when
-    floor-limited), ``at_hat`` the one at zeta_hat when the search probed
-    it (None when floor-limited).
+    is reported as 0.0.  ``at_star`` is the solved flow at zeta_star (the
+    floor when floor-limited), ``at_hat`` the one at zeta_hat when the
+    search probed it (None when floor-limited).
     """
 
     zeta_star: float
-    cap_binding: bool
     floor_limited: bool
     at_star: FreeSolution
     at_hat: FreeSolution | None
@@ -195,8 +191,15 @@ def _coarser(options: SolverOptions) -> SolverOptions | None:
     return replace(options, n_phi=n_phi, n_psi=n_psi)
 
 
-def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistence:
-    """``solve_outlet`` on one level; calls itself for the coarser level."""
+def _solve_outlet(
+    zeta, cfg, gas, consts, options, cap_field=None
+) -> FreeSolution | Nonexistence:
+    """``solve_outlet`` on one level; calls itself for the coarser level.
+
+    ``cap_field`` is a cap shot (xi = R0 c_l) already solved at this zeta on
+    this grid; when given, the endpoint path takes it and its defect in place
+    of solving the cap shot again.  The coarser level does not get it.
+    """
     shoot_tol = shoot_tolerance(cfg)
     cap = consts.zeta_cap
     if zeta >= cap * (1.0 - 1e-12):
@@ -241,7 +244,10 @@ def _solve_outlet(zeta, cfg, gas, consts, options) -> FreeSolution | Nonexistenc
             ),
         )
     hi = cap
-    field_hi, d_hi = shoot(hi, field_lo)
+    if cap_field is None:
+        field_hi, d_hi = shoot(hi, field_lo)
+    else:
+        field_hi, d_hi = cap_field, inlet_defect(cap_field, gas, cfg)
     if abs(d_hi) <= shoot_tol:
         return _finish(field_hi, zeta, hi, d_hi, cfg)
     if d_hi < -shoot_tol:
@@ -312,18 +318,20 @@ def find_zeta_star(
     change on [floor, zeta_hat] to a width of 1e-5 zeta_hat (``_ZETA_TOL``),
     each cap shot started from the cap field of the nearer bracket end (the
     cap shot at zeta_hat from the flow solved there).  zeta_star is the
-    final bracket's solvable end.  ``solve_outlet``
-    then runs at both ends: its flow at zeta_star is ``at_star``, and its
-    Nonexistence just below gives ``cap_binding``.  Should either verdict
-    differ from the cap shot's, NonconvergenceError is raised.
+    final bracket's solvable end.  ``at_star``, the flow there, is
+    ``solve_outlet``'s on the same grid with the search's own cap shot at
+    zeta_star standing in for its endpoint shot at the cap, so the verdict
+    and the flow come from one computation; should no flow come out,
+    NonconvergenceError is raised.
 
     The search floor is 1e-3 zeta_hat (``_FLOOR``): if even the floor's cap
     shot reads solvable the result is reported as zeta_star = 0.0 with
     ``floor_limited`` set (the family extends to arbitrarily small zeta as
-    far as this resolution can see).  Every call runs the search afresh;
-    the result carries the flows ``solve_outlet`` gives at the lower end
-    and at zeta_hat so that callers (``match_R``, ``classify_radius``)
-    reuse them instead of solving them again.
+    far as this resolution can see), and ``at_star`` is the flow at the
+    floor, built from the floor's cap shot the same way.  Every call runs
+    the search afresh; the result carries the flows at the lower end and at
+    zeta_hat so that callers (``match_R``, ``classify_radius``) reuse them
+    instead of solving them again.
     """
     options = options or SolverOptions()
     floor = _FLOOR * consts.zeta_hat
@@ -338,25 +346,20 @@ def find_zeta_star(
         cap_fields[zeta] = field
         return inlet_defect(field, gas, cfg) + shoot_tol
 
-    def outlet(zeta, solvable):
-        # solve_outlet at a probed zeta; its verdict must be the cap shot's.
-        sol = solve_outlet(zeta, cfg, gas, consts, options)
-        if isinstance(sol, FreeSolution) != solvable:
+    def at(zeta):
+        # The flow at a probe its cap shot read solvable, from that cap shot.
+        sol = _solve_outlet(zeta, cfg, gas, consts, options, cap_fields[zeta])
+        if not isinstance(sol, FreeSolution):
             raise NonconvergenceError(
-                f"the cap shot and solve_outlet disagree on whether "
-                f"zeta = {zeta:.10g} is solvable"
+                f"solve_outlet found no flow at zeta = {zeta:.10g}, which its "
+                "cap shot reads solvable"
             )
         return sol
 
     g_floor = cap_shot(floor)
     if g_floor >= 0.0:
-        sol_floor = outlet(floor, True)
         return ZetaStarResult(
-            zeta_star=0.0,
-            cap_binding=abs(sol_floor.xi - cap) <= 1e-6 * cap,
-            floor_limited=True,
-            at_star=sol_floor,
-            at_hat=None,
+            zeta_star=0.0, floor_limited=True, at_star=at(floor), at_hat=None
         )
     sol_hat = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
     if not isinstance(sol_hat, FreeSolution):
@@ -377,11 +380,7 @@ def find_zeta_star(
             "zeta_star < zeta_hat"
         )
     return ZetaStarResult(
-        zeta_star=br.hi,
-        cap_binding=outlet(br.lo, False).reason == "outlet-cap-bound",
-        floor_limited=False,
-        at_star=outlet(br.hi, True),
-        at_hat=sol_hat,
+        zeta_star=br.hi, floor_limited=False, at_star=at(br.hi), at_hat=sol_hat
     )
 
 

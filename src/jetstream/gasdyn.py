@@ -179,12 +179,15 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants fixed by (gas, config): exit speed c_e, inlet-matched speed
-    c_m, minimal admissible speed c_l, the symmetric-flow radius R_hat and
-    detachment abscissa zeta_hat, the phi-domain cap zeta_cap = R0 c_l, the
-    admissible mass-flux window, and the admissibility verdict."""
+    """Constants fixed by (gas, config): exit speed c_e and its flux value
+    a_ce = A(c_e) (``flux_A``, the Dirichlet data of the fixed problem),
+    inlet-matched speed c_m, minimal admissible speed c_l, the
+    symmetric-flow radius R_hat and detachment abscissa zeta_hat, the
+    phi-domain cap zeta_cap = R0 c_l, the admissible mass-flux window, and
+    the admissibility verdict."""
 
     c_e: float
+    a_ce: float
     c_m: float
     c_l: float
     R_hat: float
@@ -339,6 +342,7 @@ def derive_constants(gas: GasModel, cfg: FlowConfig) -> DerivedConstants:
         )
     return DerivedConstants(
         c_e=c_e,
+        a_ce=a_ce,
         c_m=c_m,
         c_l=c_l,
         R_hat=r_hat,

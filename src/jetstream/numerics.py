@@ -306,8 +306,10 @@ def _band_rows(sys: BandedSystem) -> list:
     """(offset j - i, stored diagonal) for every band row holding a nonzero.
 
     Rows that are entirely zero contribute nothing to a product with a
-    finite vector or to a row sum, so skipping them is exact; the five-point
-    Newton matrices fill 5 of their 2 n_psi + 3 band rows.
+    finite vector or to a row sum, so skipping them is exact.  The Newton
+    matrices have 2 n_psi + 3 band rows: a symmetric grid fills 5 of them
+    (offsets 0, +-1, +-(n_psi + 1)), an asymmetric one 7 (+-n_psi too),
+    because the phi columns past zeta lose their Dirichlet top node.
     """
     occupied = np.flatnonzero(sys.ab.any(axis=1))
     return [(sys.u - int(r), sys.ab[r]) for r in occupied]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+import jetstream as js
 import oracle_data as od
 
 CONFIG_TMPL = """\
@@ -194,6 +195,27 @@ def test_physmap_outputs(tmp_path):
     assert coords_header == "phi[-],psi[-],x[len],y[len]"
     wall = np.loadtxt(out / "curves_wall.csv", delimiter=",", skiprows=1)
     assert wall.shape[1] == 2
+
+
+def test_physmap_field_csv_writes_each_float_as_its_repr(tmp_path, gas, cfg, consts):
+    # The shortest string that reads back to the same double: a rerun in
+    # this process gives the same flow, and each token is repr of its value.
+    path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    zeta = 0.6 * od.ZETA_HAT
+    res = _run("physmap", "--config", str(path), "--zeta", repr(zeta), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    sol = js.solve_outlet(zeta, cfg, gas, consts, js.SolverOptions(n_phi=32, n_psi=16))
+    theta = js.recover_theta(sol.field, gas, cfg).theta
+    grid = sol.field.grid
+    lines = (out / "field.csv").read_text().splitlines()
+    assert lines[0] == "phi[-],psi[-],q[-],Q[-],theta[rad]"
+    expected = [
+        ",".join(repr(float(v)) for v in (p, s, sol.field.q[i, j], sol.field.Q[i, j], theta[i, j]))
+        for i, p in enumerate(grid.phi_nodes)
+        for j, s in enumerate(grid.psi_nodes)
+    ]
+    assert lines[1:] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,17 @@ def test_failed_bordered_solve_raises_without_a_second_search(gas, cfg, consts, 
     assert "bracket" in str(exc.value)
 
 
+def test_bordered_solve_falls_back_to_the_fixed_xi_step(gas, cfg, consts, opts64):
+    # Near the symmetric abscissa (0.9957 zeta_hat; the coarse level of a
+    # physmap-cli benchmark op, seed 72, op 15) a bordered step from the
+    # secant start fails its line search.  The fixed-xi step taken instead
+    # lets the solve converge; without it the solve raises "line search
+    # stalled" at residual 0.34.
+    sol = js.solve_outlet(0.10399884058160831, cfg, gas, consts, opts64)
+    assert isinstance(sol, js.FreeSolution)
+    assert abs(sol.xi - 0.10445739744578034) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # One discrete root: the cell counts do not move with xi
 
@@ -320,7 +331,7 @@ def test_zeta_star_floor_limited_on_desk_config(gas, cfg, consts, opts64):
     zs = js.find_zeta_star(cfg, gas, consts, opts64)
     assert zs.zeta_star == 0.0
     assert zs.floor_limited
-    assert not zs.cap_binding
+    assert zs.at_star.xi < consts.zeta_cap  # the floor's outlet is off the cap
     assert zs.zeta_star < consts.zeta_hat
     assert od.R_HAT < zs.at_star.r_equiv < od.R0
 
@@ -328,7 +339,9 @@ def test_zeta_star_floor_limited_on_desk_config(gas, cfg, consts, opts64):
 @pytest.mark.parametrize("tight", [False, True], ids=["floor-limited", "cap-bound"])
 def test_classify_runs_one_zeta_star_search(gas, cfg, consts, opts64, tight):
     # classify_radius searches zeta_star once and match_R reuses the flows
-    # that search solved, so no detachment abscissa is solved twice.
+    # that search solved, so no detachment abscissa is solved twice, and the
+    # flow at zeta_star reuses the search's cap shot there, so no cap grid
+    # (zeta, xi = R0 c_l) is solved twice either.
     if tight:
         cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
         consts = js.derive_constants(gas, cfg)
@@ -341,12 +354,30 @@ def test_classify_runs_one_zeta_star_search(gas, cfg, consts, opts64, tight):
         freebnd, "solve_outlet", wraps=freebnd.solve_outlet
     ) as outlet, mock.patch.object(
         freebnd, "find_zeta_star", wraps=freebnd.find_zeta_star
-    ) as search:
+    ) as search, mock.patch.object(
+        freebnd, "solve_fixed", wraps=freebnd.solve_fixed
+    ) as fixed:
         res = js.classify_radius(R, cfg, gas, consts, opts)
     assert res.verdict == "EXISTS"
     assert search.call_count == 1
     zetas = [c.args[0] for c in outlet.call_args_list]
     assert len(zetas) == len(set(zetas)), f"zeta solved twice: {sorted(zetas)}"
+    caps = [c.args[0] for c in fixed.call_args_list if c.args[1] == consts.zeta_cap]
+    assert caps and len(caps) == len(set(caps)), f"cap grid solved twice: {sorted(caps)}"
+
+
+def test_floor_limited_classify_near_the_upper_c_e_edge_gives_a_verdict(gas):
+    # A floor-limited config near the upper c_e edge.  The search's cold cap
+    # shot at the floor converges; a second cap shot there, started from the
+    # xi = zeta field, stalled above the roundoff floor (exit 4).  The flow at
+    # the floor now reuses the search's cap shot.
+    cfg = js.FlowConfig(
+        R0=1.0, vartheta=0.5189720046572275, m=0.2859046500487728, c_e=0.8765005865607339
+    )
+    consts = js.derive_constants(gas, cfg)
+    res = js.classify_radius(0.95, cfg, gas, consts, js.SolverOptions(n_phi=64, n_psi=32))
+    assert res.verdict == "NO_SOLUTION_LONG"
+    assert res.r_hat < res.r_star < cfg.R0
 
 
 def test_floor_probe_on_graded_grid(gas, cfg, consts, opts64):
@@ -370,7 +401,6 @@ def test_zeta_star_positive_when_cap_binds(gas):
     zs = js.find_zeta_star(cfg, gas, consts, opts)
     assert 0.0 < zs.zeta_star < consts.zeta_hat
     assert not zs.floor_limited
-    assert zs.cap_binding
     assert abs(zs.at_star.xi - consts.zeta_cap) <= 1e-5 * consts.zeta_cap
 
 
@@ -409,25 +439,27 @@ def test_zeta_star_cap_shots_agree_with_solve_outlet(gas, cfg, consts, opts64, t
         assert [solvable for _, solvable in ends] == [False, True]
     sols = [js.solve_outlet(zeta, cfg, gas, consts, opts64) for zeta, _ in ends]
     assert [isinstance(sol, js.FreeSolution) for sol in sols] == [s for _, s in ends]
-    assert sols[-1].xi == zs.at_star.xi  # the flow at zeta_star (or the floor)
+    # The flow at zeta_star (or the floor), from the search's own cap shot
+    # there against solve_outlet's: Newton from two starts, roundoff apart.
+    assert abs(sols[-1].xi - zs.at_star.xi) <= 1e-12
     if tight:
         below = js.solve_outlet(zs.zeta_star - zeta_tol, cfg, gas, consts, opts64)
         assert isinstance(below, js.Nonexistence)
         assert below.reason == "outlet-cap-bound"
 
 
-def test_zeta_star_search_runs_solve_outlet_only_at_the_bracket_ends(gas):
-    # Each probe of the search is one cap shot, not a solve_outlet: on the
-    # tight config solve_outlet runs at zeta_hat and at the two ends of the
-    # final bracket only.
+def test_zeta_star_search_runs_solve_outlet_only_at_zeta_hat(gas):
+    # Each probe of the search is one cap shot, not a solve_outlet, and the
+    # flow at zeta_star comes from the cap shot there: on the tight config
+    # the public solve_outlet runs at zeta_hat only.
     cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
     consts = js.derive_constants(gas, cfg)
     opts = js.SolverOptions(n_phi=64, n_psi=32)
     with mock.patch.object(freebnd, "solve_outlet", wraps=freebnd.solve_outlet) as outlet:
         zs, br = _final_bracket(cfg, gas, consts, opts)
-    zetas = sorted(c.args[0] for c in outlet.call_args_list)
-    assert zetas == [br.lo, br.hi, consts.zeta_hat]
-    assert zs.cap_binding
+    assert [c.args[0] for c in outlet.call_args_list] == [consts.zeta_hat]
+    assert zs.zeta_star == br.hi
+    assert abs(zs.at_star.xi - consts.zeta_cap) <= 1e-5 * consts.zeta_cap
 
 
 # ---------------------------------------------------------------------------
