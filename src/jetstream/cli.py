@@ -2,7 +2,7 @@
 
 Subcommands: solve-fixed, solve-free, classify, sweep, physmap, verify.
 All physics comes from a YAML config file; a handful of flags (--zeta, --xi,
---radius, --n, --jobs, --out) override per run.  Outputs are deterministic:
+--radius, --n, --out) override per run.  Outputs are deterministic:
 identical configs give byte-identical CSV/summary files, floats are written
 in shortest round-trip form, and wall-clock timings go to stderr only.
 
@@ -416,7 +416,7 @@ def cmd_sweep(args) -> int:
     gas = GasModel(rc.gamma)
     consts = derive_constants(gas, rc.flow)
     t0 = time.perf_counter()
-    rows = sweep_zeta(args.n, rc.flow, gas, consts, rc.options, jobs=args.jobs)
+    rows = sweep_zeta(args.n, rc.flow, gas, consts, rc.options)
     elapsed = time.perf_counter() - t0
     _write_csv(
         out / "sweep.csv",
@@ -656,7 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate the family over detachment abscissas")
     common(p)
     p.add_argument("--n", type=int, default=8, help="number of sweep points (default 8)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel row workers (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("physmap", help="reconstruct the physical-plane flow and curves")

@@ -67,8 +67,10 @@ certified and factored again at the same iterate and the damped Newton
 step above is taken.  The matrix of every factorization so still
 carries the certificate, and the acceptance test is the same for both
 kinds of step.  ``newton_iters`` counts factorizations, ``back_solves`` the
-chord steps tried; from a coarse start a 512x128 solve takes 1
-factorization and 5-6 chord steps where Newton took 3 factorizations.
+back-solves with the last factorization (a bordered one whose xi step is
+not available is counted but not tried); from a coarse start a 512x128
+solve takes 1 factorization and 5-6 chord steps where Newton took 3
+factorizations.
 
 Bordered row (``solve_fixed(..., free_xi=True)``): xi becomes one more
 unknown and the inlet mass-flux defect D(Q) one more equation (Keller's
@@ -142,7 +144,7 @@ class SpeedField:
     """A solved (or injected) field on a Grid: Q = A(q) and the speed q at
     every node, plus the Newton diagnostics of the solve that produced it:
     ``newton_iters`` counts its factorizations and ``back_solves`` its
-    chord steps, each one back-solve with the last factorization."""
+    back-solves with the last factorization."""
 
     grid: Grid
     Q: np.ndarray
@@ -461,10 +463,7 @@ class _Operator:
         return self.cfg.R0 * float(np.min(q0)) - self.grid.xi >= -1e-9 * self.grid.xi
 
     def newton_matrix(self, Qfull):
-        """Assemble M = -J in band storage and certify it is an M-matrix.
-
-        Returns the BandedSystem, its rhs unset.
-        """
+        """Assemble M = -J in band storage and certify it is an M-matrix."""
         gas = self.gas
         ii, jj = self.ii, self.jj
         QC = Qfull[ii, jj]
@@ -534,7 +533,7 @@ class _Operator:
         ):
             dp = self.p[mask] - ptr[mask]
             ab[nb + dp, ptr[mask]] = vals[mask]
-        return numerics.BandedSystem(self.n_free, nb, nb, ab, np.zeros(self.n_free))
+        return numerics.BandedSystem(self.n_free, nb, nb, ab)
 
 
 #: Newton tolerance on the density-norm residual (floored by roundoff).
@@ -718,10 +717,6 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
                 steps.insert(0, (y + dxi * z, dxi, _BORDERED_DAMPING_FLOOR))
         return steps
 
-    def factor(rhs):
-        sys.rhs = rhs
-        return numerics.solve_banded(sys)
-
     sys = None  # the last factorized Newton matrix, its LU on sys.lu
     full = False  # whether the last step was taken at full length
     it = back_solves = 0
@@ -746,7 +741,8 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
             it += 1
             sys = None  # let the last matrix go before the next is assembled
             sys = op.newton_matrix(Qfull)
-            for delta, dxi, lam_min in candidates(factor):
+            steps = candidates(lambda rhs: numerics.solve_banded(sys, rhs))
+            for delta, dxi, lam_min in steps:
                 lam = 1.0
                 while accepted is None and lam >= lam_min:
                     accepted = trial(delta, dxi, lam)
@@ -798,7 +794,7 @@ def solve_fixed(
     ``checks.field_checks`` (the speed bounds c_l <= q <= c_e and
     monotonicity in both coordinates, on every node) or ConstraintError is
     raised.  ``newton_iters`` counts the factorizations and ``back_solves``
-    the chord steps.
+    the back-solves with the last factorization.
 
     With ``free_xi`` the given xi is only the starting value of the outlet
     potential, which becomes one more unknown pinned by the inlet mass flux

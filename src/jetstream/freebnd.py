@@ -38,9 +38,7 @@ tabulates the family.  Both searches narrow a sign-change bracket with
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -528,17 +526,10 @@ def classify_radius(
 # Parameter sweep.
 
 
-@lru_cache(maxsize=4)
-def _worker_gas(gamma: float) -> GasModel:
-    return GasModel(gamma)
-
-
-def _sweep_one(args):
-    gamma, cfg, consts, options, zeta = args
-    gas = _worker_gas(gamma)
+def _sweep_row(zeta, cfg, gas, consts, options) -> SweepRow:
     try:
         sol = solve_outlet(zeta, cfg, gas, consts, options)
-    except (NonconvergenceError, ConstraintError) as err:
+    except (NonconvergenceError, SingularSystemError, ConstraintError) as err:
         return SweepRow(zeta, math.nan, math.nan, math.nan, "error", str(err))
     if isinstance(sol, Nonexistence):
         return SweepRow(zeta, math.nan, math.nan, math.nan, "no-solution", sol.reason)
@@ -552,7 +543,6 @@ def sweep_zeta(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
     floor: float | None = None,
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """Solve the free problem on a geometric ladder of detachment abscissas
     from ``floor`` (default 0.02 * zeta_hat) up to the symmetric value.
@@ -571,9 +561,7 @@ def sweep_zeta(
         raise ConstraintError(
             f"sweep floor must lie in (0, zeta_hat), got {floor}"
         )
-    zetas = np.geomspace(floor, consts.zeta_hat, count)
-    argsets = [(gas.gamma, cfg, consts, options, float(z)) for z in zetas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_one, argsets))
-    return [_sweep_one(a) for a in argsets]
+    return [
+        _sweep_row(float(zeta), cfg, gas, consts, options)
+        for zeta in np.geomspace(floor, consts.zeta_hat, count)
+    ]

@@ -114,7 +114,6 @@ class BandedSystem:
     l: int
     u: int
     ab: np.ndarray
-    rhs: np.ndarray
     #: The LU factorization ``solve_banded`` left, for ``back_solve``.
     lu: "_LU | None" = field(default=None, repr=False)
 
@@ -333,7 +332,7 @@ def banded_matvec(
     return y
 
 
-def solve_banded(sys: BandedSystem) -> np.ndarray:
+def solve_banded(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the banded system by LU with partial pivoting confined to the band.
 
     Factors a copy of ``ab`` in place in this thread's work array for the
@@ -362,14 +361,10 @@ def solve_banded(sys: BandedSystem) -> np.ndarray:
         )
     rows = _band_rows(sys)
     # Row sums of |A| give ||A||_inf without leaving band storage.
-    rowsum = np.zeros(sys.n)
-    for d, diag in rows:
-        if d >= 0:
-            rowsum[: sys.n - d] += np.abs(diag[d:])
-        else:
-            rowsum[-d:] += np.abs(diag[: sys.n + d])
-    sys.lu = _LU(work, work.generation, piv, rows, float(rowsum.max()))
-    return back_solve(sys, sys.rhs)
+    abs_rows = [(d, np.abs(diag)) for d, diag in rows]
+    norm_A = float(banded_matvec(sys, np.ones(sys.n), abs_rows).max())
+    sys.lu = _LU(work, work.generation, piv, rows, norm_A)
+    return back_solve(sys, rhs)
 
 
 def back_solve(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:

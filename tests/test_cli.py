@@ -81,6 +81,14 @@ def test_unknown_key_exits_2_with_dotted_path(tmp_path):
         assert f"solver.{key}" in res.stderr
 
 
+def test_sweep_jobs_flag_is_gone_and_exits_2(tmp_path):
+    # A removed flag is a usage error, like a removed config key.
+    cfg = _write_config(tmp_path)
+    res = _run("sweep", "--config", str(cfg), "--jobs", "2", "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "--jobs" in res.stderr
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     cfg = _write_config(tmp_path)
     res = _run("frobnicate", "--config", str(cfg))

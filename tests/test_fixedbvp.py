@@ -266,8 +266,7 @@ def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
     f = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64)
     op = _Operator(f.grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
     system = op.newton_matrix(f.Q)
-    system.rhs = op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q))
-    z = numerics.solve_banded(system)
+    z = numerics.solve_banded(system, op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q)))
     border = fixedbvp._Border(zeta, consts, 64, 32, gas, cfg)
     slope = border.gradient_dot(f.q[0, :], z, f.grid)
     h = 1e-4 * xi

@@ -542,14 +542,23 @@ def test_sweep_rows_and_orderings(gas, cfg, consts, opts64):
     assert abs(requivs[-1] - od.R_HAT) <= 1e-4
 
 
-def test_sweep_parallel_matches_serial(gas, cfg, consts, opts64):
-    floor = 0.05 * consts.zeta_hat
-    a = js.sweep_zeta(4, cfg, gas, consts, opts64, floor=floor)
-    b = js.sweep_zeta(4, cfg, gas, consts, opts64, floor=floor, jobs=2)
-    for ra, rb in zip(a, b):
-        assert ra.zeta == rb.zeta
-        assert ra.status == rb.status
-        assert ra.xi == pytest.approx(rb.xi, abs=0.0)
+def test_sweep_keeps_a_singular_row_in_the_table(gas, cfg, consts, opts64, monkeypatch):
+    # A singular system on one rung is that row's solver failure: it reads
+    # "error" with the message, and the other rows are those of a clean run.
+    floor = 0.3 * consts.zeta_hat
+    clean = js.sweep_zeta(3, cfg, gas, consts, opts64, floor=floor)
+    solve_outlet = freebnd.solve_outlet
+
+    def singular_on_the_middle_rung(zeta, *args, **kwargs):
+        if zeta == clean[1].zeta:
+            raise errors.SingularSystemError("planted zero pivot")
+        return solve_outlet(zeta, *args, **kwargs)
+
+    monkeypatch.setattr(freebnd, "solve_outlet", singular_on_the_middle_rung)
+    rows = js.sweep_zeta(3, cfg, gas, consts, opts64, floor=floor)
+    assert (rows[1].status, rows[1].message) == ("error", "planted zero pivot")
+    assert rows[1].zeta == clean[1].zeta
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
 def test_sweep_honours_every_solver_option(gas, cfg, consts, monkeypatch):

@@ -131,46 +131,43 @@ def _random_banded(rng, n, l, u):
         ab[row, max(d, 0) : n + min(d, 0)] = vals[: n - abs(d)]
     # diagonally dominate to guarantee solvability
     ab[u, :] += 4.0
-    return numerics.BandedSystem(n, l, u, ab, rng.uniform(-1.0, 1.0, n))
+    return numerics.BandedSystem(n, l, u, ab), rng.uniform(-1.0, 1.0, n)
 
 
 def test_solve_banded_matches_dense():
     rng = np.random.default_rng(7)
-    sys = _random_banded(rng, 40, 3, 2)
-    x = numerics.solve_banded(sys)
-    assert np.max(np.abs(numerics.banded_matvec(sys, x) - sys.rhs)) < 1e-12
+    sys, b = _random_banded(rng, 40, 3, 2)
+    x = numerics.solve_banded(sys, b)
+    assert np.max(np.abs(numerics.banded_matvec(sys, x) - b)) < 1e-12
 
 
 def test_solve_banded_singular_raises():
     n = 5
     ab = np.zeros((3, n))  # tridiagonal all-zero matrix
-    sys = numerics.BandedSystem(n, 1, 1, ab, np.ones(n))
+    sys = numerics.BandedSystem(n, 1, 1, ab)
     with pytest.raises(errors.SingularSystemError):
-        numerics.solve_banded(sys)
+        numerics.solve_banded(sys, np.ones(n))
 
 
 def test_solve_banded_two_columns_match_single_columns():
     rng = np.random.default_rng(5)
-    sys = _random_banded(rng, 60, 4, 3)
-    b0, b1 = sys.rhs.copy(), rng.uniform(-1.0, 1.0, sys.n)
-    singles = []
-    for b in (b0, b1):
-        sys.rhs = b
-        singles.append(numerics.solve_banded(sys))
-    sys.rhs = np.column_stack([b0, b1])
-    both = numerics.solve_banded(sys)
+    sys, b0 = _random_banded(rng, 60, 4, 3)
+    b1 = rng.uniform(-1.0, 1.0, sys.n)
+    singles = [numerics.solve_banded(sys, b) for b in (b0, b1)]
+    rhs = np.column_stack([b0, b1])
+    both = numerics.solve_banded(sys, rhs)
     assert both.shape == (sys.n, 2)
     for col, x in enumerate(singles):
         assert np.max(np.abs(both[:, col] - x)) <= 1e-14 * np.max(np.abs(x))
-    assert np.max(np.abs(numerics.banded_matvec(sys, both) - sys.rhs)) < 1e-12
+    assert np.max(np.abs(numerics.banded_matvec(sys, both) - rhs)) < 1e-12
 
 
 def test_solve_banded_rejects_a_corrupted_column():
     # The residual check runs per column: a wrong second column is caught
     # even though the first one is exact.
     rng = np.random.default_rng(9)
-    sys = _random_banded(rng, 40, 3, 2)
-    sys.rhs = np.column_stack([sys.rhs, rng.uniform(-1.0, 1.0, sys.n)])
+    sys, b = _random_banded(rng, 40, 3, 2)
+    rhs = np.column_stack([b, rng.uniform(-1.0, 1.0, sys.n)])
     lapack = numerics.dgbtrs
 
     def corrupted(*args, **kwargs):
@@ -180,7 +177,7 @@ def test_solve_banded_rejects_a_corrupted_column():
 
     with mock.patch.object(numerics, "dgbtrs", corrupted):
         with pytest.raises(errors.SingularSystemError, match="column 1"):
-            numerics.solve_banded(sys)
+            numerics.solve_banded(sys, rhs)
 
 
 @pytest.mark.parametrize("l, u", [(3, 2), (2, 5), (6, 6), (0, 3)])
@@ -191,24 +188,24 @@ def test_solve_banded_is_bitwise_scipy(l, u, k):
     # an earlier factorization of the same band.
     rng = np.random.default_rng(100 * l + 10 * u + k)
     for n in (50, 37, 80):
-        sys = _random_banded(rng, n, l, u)
+        sys, rhs = _random_banded(rng, n, l, u)
         if k == 2:
-            sys.rhs = np.column_stack([sys.rhs, rng.uniform(-1.0, 1.0, n)])
-        x = numerics.solve_banded(sys)
-        ref = scipy.linalg.solve_banded((l, u), sys.ab, sys.rhs)
+            rhs = np.column_stack([rhs, rng.uniform(-1.0, 1.0, n)])
+        x = numerics.solve_banded(sys, rhs)
+        ref = scipy.linalg.solve_banded((l, u), sys.ab, rhs)
         assert x.shape == ref.shape
         assert np.array_equal(x, ref)
 
 
 def test_back_solve_matches_a_fresh_solve():
     rng = np.random.default_rng(11)
-    sys = _random_banded(rng, 70, 4, 2)
-    numerics.solve_banded(sys)
+    sys, b = _random_banded(rng, 70, 4, 2)
+    numerics.solve_banded(sys, b)
     rhs = np.column_stack([rng.uniform(-1.0, 1.0, sys.n) for _ in range(2)])
     x = numerics.back_solve(sys, rhs)
     assert np.array_equal(numerics.back_solve(sys, rhs[:, 1]), x[:, 1])
-    fresh = numerics.BandedSystem(sys.n, sys.l, sys.u, sys.ab.copy(), rhs)
-    assert np.array_equal(x, numerics.solve_banded(fresh))
+    fresh = numerics.BandedSystem(sys.n, sys.l, sys.u, sys.ab.copy())
+    assert np.array_equal(x, numerics.solve_banded(fresh, rhs))
 
 
 def test_back_solve_refuses_a_stale_handle():
@@ -216,15 +213,16 @@ def test_back_solve_refuses_a_stale_handle():
     # first one lives in: the first handle must refuse, not solve against
     # the other matrix.
     rng = np.random.default_rng(12)
-    first, second = _random_banded(rng, 50, 3, 3), _random_banded(rng, 50, 3, 3)
-    numerics.solve_banded(first)
-    numerics.solve_banded(second)
+    first, b1 = _random_banded(rng, 50, 3, 3)
+    second, b2 = _random_banded(rng, 50, 3, 3)
+    numerics.solve_banded(first, b1)
+    numerics.solve_banded(second, b2)
     with pytest.raises(errors.ConstraintError, match="stale"):
-        numerics.back_solve(first, first.rhs)
-    numerics.back_solve(second, second.rhs)
+        numerics.back_solve(first, b1)
+    numerics.back_solve(second, b2)
     # A system that was never factored has no handle at all.
     with pytest.raises(errors.ConstraintError):
-        numerics.back_solve(_random_banded(rng, 50, 3, 3), first.rhs)
+        numerics.back_solve(_random_banded(rng, 50, 3, 3)[0], b1)
 
 
 def test_fit_power_exponent_recovers_planted_law():
