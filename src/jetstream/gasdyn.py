@@ -12,8 +12,9 @@ becomes d^2 A/d phi^2 + d^2 B/d psi^2 = 0 with Q = A(q) as the unknown.
 
 Public entry points (flux_A, flux_A_inverse, ...) evaluate adaptive quadrature
 and bracketed root finding to tight tolerances.  GasModel also carries dense
-Hermite lookup tables, built eagerly at construction, that the PDE solver uses
-on hot paths; their accuracy against the quadrature path is asserted in tests.
+cubic Hermite lookup tables (``numerics.HermiteTable``), built eagerly at
+construction, that the PDE solver uses on hot paths; their accuracy against
+the quadrature path is asserted in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import numerics
 from .errors import ConfigError, ConstraintError
@@ -35,8 +35,9 @@ Q_FLOOR_FRAC = 1e-4
 class GasModel:
     """Polytropic gas with cached flux tables.
 
-    The tables cover q in [1e-5 c*, (1 - 1e-6) c*]; dense Hermite interpolants
-    with analytically exact knot derivatives keep the fast paths within ~1e-12
+    The tables cover q in [1e-5 c*, (1 - 1e-6) c*]: five cubic Hermite
+    interpolants (``numerics.HermiteTable``, numpy only) on 8193 knots with
+    analytically exact knot derivatives keep the fast paths within ~1e-12
     of the quadrature definitions over the solver's working range.
     """
 
@@ -117,11 +118,11 @@ class GasModel:
             "_q_knots": knots,
             "_a_knots": a_knots,
             "_b_knots": b_knots,
-            "_A_of_q": CubicHermiteSpline(knots, a_knots, ap),
-            "_B_of_q": CubicHermiteSpline(knots, b_knots, bp),
-            "_q_of_A": CubicHermiteSpline(a_knots, knots, 1.0 / ap),
-            "_F_of_A": CubicHermiteSpline(a_knots, b_knots, bp / ap),
-            "_q_of_j": CubicHermiteSpline(j_knots, knots, 1.0 / jp),
+            "_A_of_q": numerics.HermiteTable(knots, a_knots, ap),
+            "_B_of_q": numerics.HermiteTable(knots, b_knots, bp),
+            "_q_of_A": numerics.HermiteTable(a_knots, knots, 1.0 / ap),
+            "_F_of_A": numerics.HermiteTable(a_knots, b_knots, bp / ap),
+            "_q_of_j": numerics.HermiteTable(j_knots, knots, 1.0 / jp),
             "_j_lo": float(j_knots[0]),
             "_j_hi": float(j_knots[-1]),
         }
@@ -220,14 +221,14 @@ def flux_A(gas: GasModel, q: float) -> float:
     """A(q) by adaptive quadrature from c*, to 1e-12.  Subsonic only: 0 < q <= c*."""
     if not 0.0 < q <= gas.c_star:
         raise ConstraintError(f"flux_A needs 0 < q <= c* = {gas.c_star}, got {q}")
-    return numerics.integrate_adaptive(lambda s: float(gas.a_prime(s)), gas.c_star, q, 1e-12)
+    return numerics.integrate_adaptive(gas.a_prime, gas.c_star, q, 1e-12)
 
 
 def flux_B(gas: GasModel, q: float) -> float:
     """B(q) by adaptive quadrature from c*, to 1e-12.  Subsonic only: 0 < q <= c*."""
     if not 0.0 < q <= gas.c_star:
         raise ConstraintError(f"flux_B needs 0 < q <= c* = {gas.c_star}, got {q}")
-    return numerics.integrate_adaptive(lambda s: float(gas.b_prime(s)), gas.c_star, q, 1e-12)
+    return numerics.integrate_adaptive(gas.b_prime, gas.c_star, q, 1e-12)
 
 
 def _narrowed_bracket(f, lo: float, hi: float, guess: float, pad: float) -> numerics.Bracket:

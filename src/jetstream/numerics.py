@@ -1,10 +1,22 @@
 """Deterministic numerical kernels.
 
 Bracketed root finding (the Illinois method, the package's one bracketed
-search), adaptive Gauss-Kronrod quadrature, banded linear solves
-(LAPACK-backed) with a residual check, and log-log power-law fits.
+search), adaptive Gauss-Kronrod quadrature (one vectorized integrand call
+per panel), cubic Hermite tables and PCHIP slopes in numpy, banded linear
+solves (LAPACK-backed) with a residual check, and log-log power-law fits.
 Everything here is deterministic: no randomness, no time-dependent state,
 fixed summation orders.
+
+``HermiteTable`` evaluates a piecewise cubic Hermite interpolant with the
+coefficients, interval search and summation order of scipy's
+``CubicHermiteSpline``, so its values are bitwise the spline's; the gas
+tables use it.  ``pchip_slopes`` gives the node slopes of the monotone
+cubic (PCHIP) interpolant by scipy's ``PchipInterpolator`` rules, and
+``hermite_excess`` the running gap between a Hermite cubic's integral and
+the trapezoid rule in closed form; the angle recovery's error probes use
+both.  The package needs only scipy's LAPACK wrappers: its interpolation
+module, with the special functions and optimizers it imports, costs a cold
+start more than scipy's linear algebra does.
 
 Banded solves factor in place.  ``solve_banded`` copies the band into one
 Fortran-ordered (2l + u + 1)-row work array per (l, u), kept per thread and
@@ -255,10 +267,11 @@ def find_root_monotone(f, bracket: Bracket, tol: float = 1e-12) -> float:
 
 
 def _gk_panel(f, lo: float, hi: float) -> tuple[float, float]:
-    """(Kronrod-15 estimate, |K15 - G7| error indicator) on one panel."""
+    """(Kronrod-15 estimate, |K15 - G7| error indicator) on one panel,
+    from one call of f on all 15 nodes."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fx = np.array([f(c + h * t) for t in _XK])
+    fx = f(c + h * _XK)
     k15 = h * float(np.dot(_WK, fx))
     g7 = h * float(np.dot(_WG, fx[1::2]))
     return k15, abs(k15 - g7)
@@ -267,6 +280,8 @@ def _gk_panel(f, lo: float, hi: float) -> tuple[float, float]:
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b], absolute tolerance.
 
+    ``f`` maps an array of nodes to an array of its values of the same
+    shape; it is called once per panel, on that panel's 15 Kronrod nodes.
     Globally adaptive: the panel with the largest error indicator is split
     until the summed indicators drop below ``tol``.  The rule is open, so
     integrable endpoint singularities (e.g. the inverse square root) converge;
@@ -299,6 +314,110 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12) -> float:
             heapq.heappush(heap, (-e, seg[0], seg[1], k))
             total_err += e
     return sign * math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+
+
+class HermiteTable:
+    """Piecewise cubic Hermite interpolant through (x_k, y_k) with node
+    slopes d_k, over strictly increasing x; the end cubics continue past
+    both ends.
+
+    The cubic on [x_k, x_k+1] is y_k + d_k s + c2_k s^2 + c3_k s^3 in
+    s = v - x_k, with t_k = (d_k + d_k+1 - 2 m_k) / h_k for the secant
+    slope m_k, c2_k = (m_k - d_k) / h_k - t_k and c3_k = t_k / h_k.  The
+    coefficients, the interval search and the summation order (constant
+    term first) are those of scipy's ``CubicHermiteSpline``, so the values
+    are bitwise its values.  A call returns an array of the argument's
+    shape (0-d for a scalar), as the scipy spline does.
+    """
+
+    def __init__(self, x, y, dydx):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d = np.asarray(dydx, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        self._x = x
+        self._inner = x[1:-1]
+        self._c0 = y[:-1]
+        self._c1 = d[:-1]
+        self._c2 = (slope - d[:-1]) / dx - t
+        self._c3 = t / dx
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        # x_k <= v < x_k+1, the last interval closed; the end intervals
+        # take everything beyond them.
+        k = self._inner.searchsorted(flat, "right")
+        s = flat - self._x.take(k)
+        # c0 + c1 s + c2 s^2 + c3 s^3, summed left to right with
+        # s^3 = (s s) s; each gathered coefficient array is fresh, so the
+        # products are formed in place.
+        res = self._c1.take(k)
+        res *= s
+        res += self._c0.take(k)
+        z = s * s
+        term = self._c2.take(k)
+        term *= z
+        res += term
+        z *= s
+        term = self._c3.take(k)
+        term *= z
+        res += term
+        return res.reshape(v.shape)
+
+
+def pchip_slopes(x, y) -> np.ndarray:
+    """Node slopes of the monotone piecewise cubic (PCHIP) interpolant of y
+    over three or more strictly increasing nodes x, along axis 0 of y.
+
+    Fritsch & Carlson (1980): a node where the two neighbouring secant
+    slopes differ in sign or one of them vanishes gets slope 0, any other
+    inner node their weighted harmonic mean.  Each end takes the one-sided
+    three-point estimate, set to 0 if its sign differs from the end secant
+    and to 3 times that secant if the secants change sign and it exceeds
+    it (Moler 2004).  The rules and their operations are those of scipy's
+    ``PchipInterpolator``, so the slopes are bitwise the ones it
+    interpolates with.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hk = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    mk = np.diff(y, axis=0) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    # Division by a zero secant lands only on nodes ``flat`` sets to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+    first = _pchip_end(hk[0], hk[1], mk[0], mk[1])
+    last = _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])
+    return np.concatenate([first[None], inner, last[None]])
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """PCHIP end slope from the end spacings h0, h1 and secants m0, m1."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def hermite_excess(x, d) -> np.ndarray:
+    """Running integral of a cubic Hermite interpolant over the nodes x
+    minus the trapezoid rule's, along axis 0 of the node slopes d.
+
+    On a cell of width h the cubic's integral exceeds the trapezoid by
+    h^2 (d_k - d_k+1) / 12, whatever the node values; the result is the
+    cumulative sum of these gaps, 0 at the first node.
+    """
+    d = np.asarray(d, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (d.ndim - 1))
+    gap = h * h * (d[:-1] - d[1:]) / 12.0
+    return np.concatenate([np.zeros((1,) + d.shape[1:]), np.cumsum(gap, axis=0)])
 
 
 def _band_rows(sys: BandedSystem) -> list:

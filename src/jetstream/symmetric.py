@@ -73,5 +73,5 @@ class SymmetricSolution:
 
         Equals R0 - R_hat analytically; computed here by quadrature along the
         wall streamline as an independent consistency path."""
-        f = lambda phi: 1.0 / float(self.q_hat(phi))
+        f = lambda phi: 1.0 / self.q_hat(phi)
         return numerics.integrate_adaptive(f, 0.0, self.consts.zeta_hat, tol=1e-12)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs via subprocess: exit codes, files, formats."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -306,3 +307,23 @@ def test_summary_counts_back_solves_next_to_factorizations(tmp_path):
     values = _read_summary(out)
     assert int(values["newton_iters"]) >= 1
     assert int(values["back_solves"]) >= 1
+
+
+def test_import_leaves_out_interpolation_special_functions_and_optimize():
+    # The package and its command line need numpy and scipy's LAPACK only:
+    # scipy.interpolate (which drags in scipy.special and scipy.optimize)
+    # cost ~0.27 s of every cold start.
+    src = str(Path(js.__file__).resolve().parents[1])
+    probe = (
+        "import sys, jetstream, jetstream.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'interpolate'], ['scipy', 'special'], ['scipy', 'optimize'])))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -6,6 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import jetstream as js
 import oracle_data as od
@@ -121,6 +123,112 @@ def test_integrate_adaptive_panel_cap():
     # A non-integrable endpoint blowup exhausts the panel budget.
     with pytest.raises(errors.NonconvergenceError):
         numerics.integrate_adaptive(lambda x: 1.0 / x, 1e-300, 1.0, tol=1e-12)
+
+
+def test_integrate_adaptive_calls_f_once_per_panel():
+    # f takes the array of a panel's 15 Kronrod nodes; no panel is
+    # evaluated twice, and each split adds two panels.
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, copy=True))
+        return np.sqrt(x)
+
+    val = numerics.integrate_adaptive(f, 0.0, 1.0, tol=1e-12)
+    assert abs(val - 2.0 / 3.0) < 1e-10
+    assert len(calls) > 1 and len(calls) % 2 == 1
+    assert all(x.shape == (15,) for x in calls)
+    assert all(np.all(np.diff(x) > 0.0) for x in calls)
+    panels = {(float(x[0]), float(x[-1])) for x in calls}
+    assert len(panels) == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Hermite tables and PCHIP probes, against scipy as the oracle
+
+
+def _gas_tables(gas):
+    """(x, y, dydx) of the five GasModel tables, keyed by attribute name."""
+    q = gas._q_knots
+    ap, bp, jp = gas.a_prime(q), gas.b_prime(q), gas.j_prime(q)
+    return {
+        "_A_of_q": (q, gas._a_knots, ap),
+        "_B_of_q": (q, gas._b_knots, bp),
+        "_q_of_A": (gas._a_knots, q, 1.0 / ap),
+        "_F_of_A": (gas._a_knots, gas._b_knots, bp / ap),
+        "_q_of_j": (q * gas.rho(q), q, 1.0 / jp),
+    }
+
+
+@pytest.mark.parametrize("name", ["_A_of_q", "_B_of_q", "_q_of_A", "_F_of_A", "_q_of_j"])
+def test_gas_tables_are_bitwise_scipy_hermite_splines(gas, name):
+    x, y, dydx = _gas_tables(gas)[name]
+    ref = CubicHermiteSpline(x, y, dydx)
+    table = getattr(gas, name)
+    assert isinstance(table, numerics.HermiteTable)
+    lo, hi = float(x[0]), float(x[-1])
+    width = hi - lo
+    rng = np.random.default_rng(len(name))
+    inside = rng.uniform(lo, hi, (17, 9))
+    args = [
+        lo, hi, 0.5 * (lo + hi),
+        np.float64(0.3 * lo + 0.7 * hi), np.array(0.2 * lo + 0.8 * hi),
+        lo - 0.5 * width, lo - 1e-3 * width, hi + 1e-3 * width, hi + 0.5 * width,
+        x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        rng.uniform(lo - 0.1 * width, hi + 0.1 * width, 257),
+        inside, inside.T, np.sort(inside, axis=None).reshape(9, 17),
+    ]
+    for v in args:
+        got, want = table(v), ref(v)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _pchip_cases():
+    # Nonuniform nodes spanning about as much as the solver grids do.
+    rng = np.random.default_rng(40)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 41)) / 20.0
+    wave = np.sin(20.0 * x)[:, None] * np.array([1.0, -2.0, 0.3])  # sign changes
+    wave[10:16] = 0.25  # a flat stretch: zero secants
+    wave[25, 1] = wave[26, 1]  # one zero secant between rising/falling ones
+    steps = np.repeat(rng.normal(size=(9, 2)), 5, axis=0)[: len(x)]
+    return [
+        (x, wave[:, 0]),
+        (x, wave),
+        (x, np.abs(wave[:, 1])),  # touches zero: edge cases at extrema
+        (np.linspace(-1.0, 1.0, 12), np.linspace(-1.0, 1.0, 12) ** 3),
+        # The end rule's limits: a three-point slope against the end
+        # secant's sign goes to 0, one beyond 3x it (secants changing
+        # sign) to 3x the secant.
+        (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0])),
+        (np.array([0.0, 1.0, 1.05]), np.array([0.0, 1.0, 0.5])),
+        (x[: len(steps)], steps),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_pchip_slopes_are_bitwise_scipy(case):
+    x, y = _pchip_cases()[case]
+    d = numerics.pchip_slopes(x, y)
+    ref = PchipInterpolator(x, y).derivative()(x)
+    assert d.shape == y.shape
+    # At the last node scipy evaluates its last cubic's derivative, which
+    # returns the end slope only up to roundoff.
+    assert np.array_equal(d[:-1], ref[:-1])
+    assert np.allclose(d[-1], ref[-1], rtol=1e-12, atol=1e-14)
+    # The slopes are exactly the ones the scipy interpolant is built from.
+    assert np.array_equal(CubicHermiteSpline(x, y, d).c, PchipInterpolator(x, y).c)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_hermite_excess_is_pchip_antiderivative_minus_trapezoid(case):
+    x, y = _pchip_cases()[case]
+    excess = numerics.hermite_excess(x, numerics.pchip_slopes(x, y))
+    p = PchipInterpolator(x, y)
+    ref = p.antiderivative()(x) - cumulative_trapezoid(y, x, axis=0, initial=0)
+    assert excess.shape == y.shape
+    assert np.all(excess[0] == 0.0)
+    assert np.max(np.abs(excess - ref)) <= 1e-14
 
 
 def _random_banded(rng, n, l, u):

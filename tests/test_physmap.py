@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import jetstream as js
 import oracle_data as od
-from jetstream import errors
+from jetstream import errors, physmap
 
 
 def _recon(sol, gas, cfg):
@@ -32,6 +33,31 @@ def test_theta_anchored_on_axis(asym_free, gas, cfg):
     assert np.max(np.abs(angles.theta[:, 0])) == 0.0
     # wall side is steered toward -vartheta, axis toward 0
     assert np.all(angles.theta <= 1e-15)
+
+
+def test_angle_estimate_matches_scipy_pchip_probes(asym_free, gas, cfg):
+    # The error probes restated with scipy's PCHIP objects: antiderivative
+    # minus trapezoid, and derivative minus stencil at the nodes.
+    field = asym_free.field
+    grid = field.grid
+    phi, psi = grid.phi_nodes, grid.psi_nodes
+    dQ = physmap._dQ_dphi(field, gas, cfg)
+    dF = physmap._dF_dpsi(field, gas)
+    F = np.asarray(gas.fast_F_of_A(field.Q))
+
+    def quad(x, y):
+        return np.max(np.abs(PchipInterpolator(x, y).antiderivative()(x)
+                             - physmap._cumtrapz(y, x, axis=0)))
+
+    def stencil(x, y, dy):
+        return np.max(np.abs(PchipInterpolator(x, y).derivative()(x) - dy))
+
+    want = (
+        quad(psi, dQ.T) + quad(phi, dF) + stencil(phi, field.Q, dQ) * grid.m
+        + stencil(psi, F.T, dF.T) * grid.xi + field.residual_norm * grid.xi * grid.m
+    )
+    got = js.recover_theta(field, gas, cfg).estimate
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_consistency_guard_flags_non_solution_fields(gas, cfg, consts):
