@@ -314,6 +314,18 @@ def _sym_oracle_error(
     return float(np.max(np.abs(field.q - qhat[:, None])))
 
 
+def _no_solution(summary: RunSummary, out: Path, reason: str, detail: str, **values) -> int:
+    """Finish a command that found no flow: summary.kv gets status, reason,
+    ``values`` and detail, and the command exits 5."""
+    summary.set("status", "no-solution")
+    summary.set("reason", reason)
+    for key, value in values.items():
+        summary.set(key, value)
+    summary.set("detail", detail)
+    _emit_summary(summary, out)
+    return _EXIT_NONEXISTENCE
+
+
 def _out_dir(rc: RunConfig, args) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,12 +374,7 @@ def cmd_solve_free(args) -> int:
     sol = solve_outlet(zeta, rc.flow, gas, consts, rc.options)
     summary.time("solve", time.perf_counter() - t0)
     if isinstance(sol, Nonexistence):
-        summary.set("status", "no-solution")
-        summary.set("reason", sol.reason)
-        summary.set("defect", sol.defect)
-        summary.set("detail", sol.detail)
-        _emit_summary(summary, out)
-        return _EXIT_NONEXISTENCE
+        return _no_solution(summary, out, sol.reason, sol.detail, defect=sol.defect)
     summary.set("status", "ok")
     summary.set("xi", sol.xi)
     summary.set("inlet_defect", sol.inlet_defect)
@@ -444,19 +451,22 @@ def cmd_physmap(args) -> int:
     radius = args.radius if args.radius is not None else rc.R
     t0 = time.perf_counter()
     if radius is not None:
-        sol = match_R(radius, rc.flow, gas, consts, rc.options)
         summary.set("radius", radius)
+        try:
+            sol = match_R(radius, rc.flow, gas, consts, rc.options)
+        except (LongNozzleError, ShortNozzleError) as err:
+            summary.time("solve", time.perf_counter() - t0)
+            # The reason is classify's verdict for this radius.
+            short = isinstance(err, ShortNozzleError)
+            reason = "NO_SOLUTION_SHORT" if short else "NO_SOLUTION_LONG"
+            return _no_solution(summary, out, reason, str(err), r_hat=err.r_hat, r_star=err.r_star)
     else:
         zeta = args.zeta if args.zeta is not None else consts.zeta_hat
         sol = solve_outlet(zeta, rc.flow, gas, consts, rc.options)
         if isinstance(sol, Nonexistence):
             summary.set("zeta", zeta)
-            summary.set("status", "no-solution")
-            summary.set("reason", sol.reason)
-            summary.set("detail", sol.detail)
             summary.time("solve", time.perf_counter() - t0)
-            _emit_summary(summary, out)
-            return _EXIT_NONEXISTENCE
+            return _no_solution(summary, out, sol.reason, sol.detail, defect=sol.defect)
     summary.time("solve", time.perf_counter() - t0)
     summary.set("status", "ok")
     summary.set("zeta", sol.zeta)

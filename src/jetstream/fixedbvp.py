@@ -45,13 +45,21 @@ phi-face of width h between nodes p and q adds dpsi/h (w_p - w_q) = +-dpsi to
 their two columns, because w is linear in phi, and the two faces of a column
 cancel; psi-faces join nodes of equal phi and so of equal weight.
 
-Newton iterates are clamped to [A(q_floor), A(c_e)], q_floor from
-``newton_q_floor``, and damped by halving down to 2**-20.  Convergence is
+Newton iterates are clamped to [a_floor, A(c_e)], the clamp floor a_floor
+being A at half the minimal admissible speed c_l (never below the flux
+tables' floor), and damped by halving down to 2**-20.  Convergence is
 measured on the residual in PDE-density units (finite-volume row divided by
-its cell measure); the Newton tolerance ``_NEWTON_TOL`` = 1e-10 is floored
-by a per-grid roundoff estimate ~ eps * (|Q|/h^2 + |F|/k^2), the attainable
-level of that norm in double precision, and a solve that has not met it
-after ``_MAX_ITERS`` = 100 factorizations raises NonconvergenceError.
+its cell measure).  Its tolerance ``_NEWTON_TOL`` = 1e-10 is floored a
+priori by the attainable level of that norm in double precision,
+64 eps (|A(c_l)| / h_min^2 + |B(c_l)| / k^2), h_min the smallest phi cell
+and k the psi cell: every admissible field has c_l <= q <= c_e, and A and B
+increase and are negative below c*, so |A(c_l)| and |B(c_l)| bound |Q| and
+|F| = |B(q)| on all of them.  The floor is fixed per grid (per xi in a
+bordered solve) and not read from an iterate: a start near A(c_e) has a
+max|Q| ~80x below the answer's on small-zeta cap shots, and a floor read
+from it would sit below the roundoff level Newton can reach.  A solve
+that has not met the tolerance after ``_MAX_ITERS`` = 100 factorizations
+raises NonconvergenceError.
 
 Chord steps (Shamanskii's method; Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003, ch. 2-3): after a step, the next one is first
@@ -314,25 +322,35 @@ def build_grid(
     return Grid(zeta, xi, m, phi_nodes, psi_nodes, iz, dh_dxi)
 
 
-def newton_q_floor(gas: GasModel, c_l: float) -> float:
-    """Lowest speed a Newton iterate is clamped to: half the minimal
-    admissible speed c_l, never below the flux tables' floor."""
-    return max(Q_FLOOR_FRAC * gas.c_star, 0.5 * c_l)
-
-
 class _Operator:
-    """Vectorized residual/Jacobian assembly for one grid.
+    """The discrete problem on one grid and everything a Newton solve on it
+    reads, built from the configuration's ``DerivedConstants``:
+
+    - the residual, its xi derivative ``dr_dxi`` and the certified Newton
+      matrix (vectorized assembly over the free nodes);
+    - the Dirichlet value ``a_ce`` = A(c_e) and the clamp floor ``a_floor``
+      = A(max(c_l/2, the flux tables' floor));
+    - the stopping tolerance ``tol`` of the density-norm residual, a
+      constant of the grid (module docstring);
+    - the linear subsolution start (``subsolution``);
+    - the bordered row: the inlet mass-flux defect (``inlet_defect``) and
+      its gradient (``defect_dot``).
 
     ``fixed_inlet_flux`` switches the inlet condition from the nonlinear
     Robin coupling G(Q) to a prescribed flux profile (the Picard map).
+    ``on`` gives the same operator on another grid of the same zeta.
     """
 
-    def __init__(self, grid, gas, cfg, a_ce, q_floor, fixed_inlet_flux=None):
+    def __init__(self, grid, gas, cfg, consts, fixed_inlet_flux=None):
         self.gas = gas
         self.cfg = cfg
-        self.a_ce = a_ce
-        self.q_floor = q_floor
-        self.a_floor = float(gas.fast_A(q_floor))
+        self.consts = consts
+        self.a_ce = consts.a_ce
+        self.a_floor = float(gas.fast_A(max(Q_FLOOR_FRAC * gas.c_star, 0.5 * consts.c_l)))
+        # Bounds of |Q| = |A(q)| and |F| = |B(q)| on the admissible speeds
+        # c_l <= q <= c_e: A and B increase and are negative below c*.
+        self.a_bound = abs(float(gas.fast_A(consts.c_l)))
+        self.b_bound = abs(float(gas.fast_B(consts.c_l)))
         self.fixed_inlet_flux = fixed_inlet_flux
 
         psi = grid.psi_nodes
@@ -355,6 +373,10 @@ class _Operator:
         self.has_S = jj > 0
         self.has_N = jj < nq
         self.dpsi = np.where((jj == 0) | (jj == nq), 0.5 * self.k, self.k)
+        # The defect's gradient on the inlet column is -w_j / q_0j, w_j the
+        # trapezoid weights in psi, because d(1/(q rho))/dA = -1/q.
+        dpsi = np.diff(psi)
+        self.defect_w = -0.5 * (np.concatenate([[0.0], dpsi]) + np.concatenate([dpsi, [0.0]]))
 
         self.jjN = np.minimum(jj + 1, nq)
         self.jjS = np.maximum(jj - 1, 0)
@@ -375,8 +397,12 @@ class _Operator:
         self.dphi = np.where(ii > 0, 0.5 * (self.hW + self.hE), 0.5 * self.hE)
         self.cell = self.dphi * self.dpsi
         self.phi_of_p = grid.phi_nodes[ii]
-        # Roundoff floor of the density-norm residual on this grid.
-        self.h_min = float(h_face.min())
+        # Density-norm rows divide second differences by cell spacings, so
+        # assembly roundoff is amplified by 1/h^2; the constant covers the
+        # row-term count and observed cancellation on extreme-aspect grids.
+        eps = np.finfo(float).eps
+        floor = 64.0 * eps * (self.a_bound / float(h_face.min()) ** 2 + self.b_bound / self.k**2)
+        self.tol = max(_NEWTON_TOL, floor)
 
     def on(self, grid: Grid) -> "_Operator":
         """The same operator on another grid of the same zeta, cell counts
@@ -446,14 +472,24 @@ class _Operator:
     def density_norm(self, r):
         return float(np.max(np.abs(r) / self.cell))
 
-    def roundoff_floor(self, Qfull, F):
-        # Density-norm rows divide second differences by cell spacings, so
-        # assembly roundoff is amplified by 1/h^2; the constant covers the
-        # row-term count and observed cancellation on extreme-aspect grids.
-        qmax = float(np.max(np.abs(Qfull)))
-        fmax = float(np.max(np.abs(F)))
-        eps = np.finfo(float).eps
-        return 64.0 * eps * (qmax / self.h_min**2 + fmax / self.k**2)
+    def subsolution(self):
+        """The linear subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)),
+        constant in psi: the start of a solve that has no donor field."""
+        c_l = self.consts.c_l
+        slope = 1.0 / (self.cfg.R0 * c_l * float(self.gas.rho(c_l)))
+        prof = self.a_ce - (self.grid.xi - self.grid.phi_nodes) * slope
+        return np.repeat(prof[:, None], self.grid.n_psi + 1, axis=1)
+
+    def inlet_defect(self, Qfull):
+        """The bordered row, the inlet defect D(Q) (``inlet_defect``), and the
+        inlet speeds q0 it reads; D has no direct xi dependence."""
+        q0 = self.gas.fast_q_of_A(Qfull[0, :])
+        return _mass_defect(q0, self.grid.psi_nodes, self.gas, self.cfg), q0
+
+    def defect_dot(self, q0, v) -> float:
+        """(dD/dQ) . v for a vector v over the free nodes."""
+        n = len(q0)  # inlet nodes come first in the free-node ordering
+        return float(np.dot(self.defect_w / q0, v[:n]))
 
     def coercive(self, q0) -> bool:
         """Whether the inlet speeds q0 keep R0 min q0 >= xi (to 1e-9 xi), so
@@ -587,48 +623,13 @@ def interp_onto(grid_new: Grid, grid_old: Grid, Q_old: np.ndarray) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class _Border:
-    """The mass-flux row that makes the outlet potential xi one more Newton
-    unknown (Keller's bordering).
-
-    The row is the inlet defect D(Q) (``inlet_defect``); it reads only the
-    inlet column and has no direct xi dependence.  Its gradient there is
-    -w_j / q_0j with w_j the trapezoid weights in psi, because
-    d(1/(q rho))/dA = -1/q.  xi stays inside (zeta, R0 c_l); grids come from
-    ``build_grid``, whose cell counts do not move with xi.
-    """
-
-    zeta: float
-    consts: DerivedConstants
-    n_phi: int
-    n_psi: int
-    gas: GasModel
-    cfg: FlowConfig
-
-    def defect(self, Qfull, grid: Grid):
-        q0 = self.gas.fast_q_of_A(Qfull[0, :])
-        return _mass_defect(q0, grid.psi_nodes, self.gas, self.cfg), q0
-
-    def gradient_dot(self, q0, v, grid: Grid) -> float:
-        """(dD/dQ) . v for a vector v over the free nodes."""
-        dpsi = np.diff(grid.psi_nodes)
-        w = np.concatenate([[0.0], dpsi]) + np.concatenate([dpsi, [0.0]])
-        n = len(q0)  # inlet nodes come first in the free-node ordering
-        return float(np.dot(-0.5 * w / q0, v[:n]))
-
-    def grid(self, xi: float) -> Grid:
-        return build_grid(
-            self.zeta, xi, self.cfg.m, self.n_phi, self.n_psi, self.consts
-        )
-
-
-def _newton_solve(op: _Operator, Qfull0, border=None):
+def _newton_solve(op: _Operator, Qfull0, regrid=None):
     """Damped Newton on the finite-volume system, with chord steps.
 
     Returns (operator, Qfull, norm, factorizations, back-solves); the
-    operator's grid is the one the field was solved on.  With ``border`` (a
-    _Border) the outlet potential xi is solved for too, see ``solve_fixed``.
+    operator's grid is the one the field was solved on.  With ``regrid``, the
+    map from xi to ``build_grid(zeta, xi, ...)``, the outlet potential xi is
+    solved for too (the bordered row, see ``solve_fixed``).
     """
     Qfull = Qfull0.copy()
     Qfull[~op.free] = op.a_ce
@@ -636,11 +637,10 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
     F = op.gas.fast_F_of_A(Qfull)
     r = op.residual(Qfull, F)
     norm = op.density_norm(r)
-    tol_eff = max(_NEWTON_TOL, op.roundoff_floor(Qfull, F))
     D = q0 = scale = merit = shoot_tol = None
-    if border is not None:
-        D, q0 = border.defect(Qfull, op.grid)
-        shoot_tol = shoot_tolerance(border.cfg)
+    if regrid is not None:
+        D, q0 = op.inlet_defect(Qfull)
+        shoot_tol = shoot_tolerance(op.cfg)
 
     def trial(delta, dxi, lam, chord=False):
         # The state after the step (delta, dxi) damped by lam if the line
@@ -651,7 +651,7 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
         op_t = op
         if dxi != 0.0:
             try:
-                op_t = op.on(border.grid(op.grid.xi + lam * dxi))
+                op_t = op.on(regrid(op.grid.xi + lam * dxi))
             except ConstraintError:  # the graded run cannot fill this xi
                 return None
         Q_t = Qfull.copy()
@@ -667,17 +667,17 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
         r_t = op_t.residual(Q_t, F_t)
         norm_t = op_t.density_norm(r_t)
         if dxi == 0.0:
-            if not (norm_t <= decrease * norm or norm_t <= tol_eff):
+            if not (norm_t <= decrease * norm or norm_t <= op_t.tol):
                 return None
             D_t = q0_t = None
-            if border is not None:
-                D_t, q0_t = border.defect(Q_t, op_t.grid)
+            if regrid is not None:
+                D_t, q0_t = op_t.inlet_defect(Q_t)
         else:
-            D_t, q0_t = border.defect(Q_t, op_t.grid)
+            D_t, q0_t = op_t.inlet_defect(Q_t)
             merit_t = max(norm_t / scale[0], abs(D_t) / scale[1])
             if not (
                 merit_t <= decrease * merit
-                or (norm_t <= tol_eff and abs(D_t) <= shoot_tol)
+                or (norm_t <= op_t.tol and abs(D_t) <= shoot_tol)
             ):
                 return None
         return op_t, Q_t, F_t, r_t, norm_t, D_t, q0_t, dxi
@@ -687,7 +687,7 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
         # order they are tried; ``solve`` applies M^-1 to an (n,) or (n, 2)
         # right-hand side.
         nonlocal scale, merit
-        if border is None:
+        if regrid is None:
             return [(solve(r), 0.0, _DAMPING_FLOOR)]
         # Two right-hand sides: y = M^-1 r is the fixed-xi step, z =
         # M^-1 dr/dxi the field's slope dQ/dxi.  The Schur complement c.z is
@@ -700,20 +700,20 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
         rhs[:, 1] = op.dr_dxi(Qfull, F)
         yz = solve(rhs)
         y, z = yz[:, 0], yz[:, 1]
-        cy = border.gradient_dot(q0, y, op.grid)
+        cy = op.defect_dot(q0, y)
         if scale is None:
             # The merit scales the residual by its starting value and the
             # defect by the larger of its starting value and the first field
             # correction's change of it, c.y: a start close to the root (a
             # coarse solution) has a tiny defect that the first correction
             # alone moves by orders of magnitude more.
-            scale = (max(norm, tol_eff), max(abs(D), abs(cy), shoot_tol))
+            scale = (max(norm, op.tol), max(abs(D), abs(cy), shoot_tol))
         merit = max(norm / scale[0], abs(D) / scale[1])
         steps = [(y, 0.0, _DAMPING_FLOOR)]
-        slope = border.gradient_dot(q0, z, op.grid)
+        slope = op.defect_dot(q0, z)
         if slope > 0.0:
             dxi = -(D + cy) / slope
-            if border.zeta < op.grid.xi + dxi < border.consts.zeta_cap:
+            if op.grid.zeta < op.grid.xi + dxi < op.consts.zeta_cap:
                 steps.insert(0, (y + dxi * z, dxi, _BORDERED_DAMPING_FLOOR))
         return steps
 
@@ -721,7 +721,7 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
     full = False  # whether the last step was taken at full length
     it = back_solves = 0
     while True:
-        if norm <= tol_eff and (border is None or abs(D) <= shoot_tol):
+        if norm <= op.tol and (regrid is None or abs(D) <= shoot_tol):
             return op, Qfull, norm, it, back_solves
         accepted = None
         if full:
@@ -729,12 +729,12 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
             # a damped step the iterate is too far from where it was made.
             back_solves += 1
             delta, dxi, _ = candidates(lambda rhs: numerics.back_solve(sys, rhs))[0]
-            if border is None or dxi != 0.0:
+            if regrid is None or dxi != 0.0:
                 accepted = trial(delta, dxi, 1.0, chord=True)
         if accepted is None:
             if it == _MAX_ITERS:
                 raise NonconvergenceError(
-                    f"Newton did not reach {tol_eff:.3e} in {_MAX_ITERS} iterations "
+                    f"Newton did not reach {op.tol:.3e} in {_MAX_ITERS} iterations "
                     f"(residual {norm:.3e})",
                     estimate=norm,
                 )
@@ -753,10 +753,10 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
             if accepted is None:
                 raise NonconvergenceError(
                     f"Newton line search stalled at residual {norm:.3e} "
-                    f"(tol {tol_eff:.3e})",
+                    f"(tol {op.tol:.3e})",
                     estimate=norm,
                 )
-            if border is not None and accepted[-1] == 0.0 and norm <= tol_eff:
+            if regrid is not None and accepted[-1] == 0.0 and norm <= op.tol:
                 # Q already solves the problem at this xi and the xi step was
                 # refused (it leaves (zeta, R0 c_l) or fails its line
                 # search): fixed-xi steps cannot reduce the defect.
@@ -766,12 +766,6 @@ def _newton_solve(op: _Operator, Qfull0, border=None):
                     estimate=D,
                 )
         op, Qfull, F, r, norm, D, q0, _ = accepted
-
-
-def _subsolution_init(grid, a_ce, c_l, rho_l, R0):
-    slope = 1.0 / (R0 * c_l * rho_l)
-    prof = a_ce - (grid.xi - grid.phi_nodes) * slope
-    return np.repeat(prof[:, None], grid.n_psi + 1, axis=1)
 
 
 def solve_fixed(
@@ -807,19 +801,14 @@ def solve_fixed(
     """
     options = options or SolverOptions()
     grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
-    a_ce = consts.a_ce
-    if start is not None:
-        Q0 = interp_onto(grid, start.grid, start.Q)
-    else:
-        Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-    border = None
+    op = _Operator(grid, gas, cfg, consts)
+    Q0 = op.subsolution() if start is None else interp_onto(grid, start.grid, start.Q)
+    regrid = None
     if free_xi:
-        border = _Border(zeta, consts, options.n_phi, options.n_psi, gas, cfg)
-    # The operator is handed over, not kept here: a bordered solve replaces
-    # it with one per xi it moves to.
-    op, Qfull, norm, iters, back_solves = _newton_solve(
-        _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l)), Q0, border
-    )
+        regrid = lambda x: build_grid(zeta, x, cfg.m, options.n_phi, options.n_psi, consts)
+    # A bordered solve moves to an operator per xi; the one it ends on
+    # carries the answer's grid.
+    op, Qfull, norm, iters, back_solves = _newton_solve(op, Q0, regrid)
     q = np.asarray(gas.fast_q_of_A(Qfull))
     q[~op.free] = consts.c_e
     field = SpeedField(
@@ -846,12 +835,10 @@ def assemble_residual(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.n
     ``derive_constants(gas, cfg)``, as in ``solve_fixed``.
     """
     grid = field.grid
-    consts = derive_constants(gas, cfg)
-    a_ce = consts.a_ce
-    op = _Operator(grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l))
+    op = _Operator(grid, gas, cfg, derive_constants(gas, cfg))
     r = op.residual(field.Q)
     out = np.empty_like(field.Q)
-    out[:] = field.Q - a_ce  # Dirichlet rows
+    out[:] = field.Q - op.a_ce  # Dirichlet rows
     # Inlet rows carry 1/dpsi units, transverse-flux rows 1/dphi, interior
     # rows the full density normalization.
     norm = np.where(
@@ -889,13 +876,9 @@ def picard_T(
         trace = np.broadcast_to(np.asarray(g, dtype=float), psi.shape).copy()
     if not (np.all(trace >= consts.c_l - 1e-12) and np.all(trace < gas.c_star)):
         raise ConstraintError("inlet profile must lie in [c_l, c*)")
-    a_ce = consts.a_ce
     flux = 1.0 / (cfg.R0 * trace * np.asarray(gas.rho(trace)))
-    op = _Operator(
-        grid, gas, cfg, a_ce, newton_q_floor(gas, consts.c_l), fixed_inlet_flux=flux
-    )
-    Q0 = _subsolution_init(grid, a_ce, consts.c_l, float(gas.rho(consts.c_l)), cfg.R0)
-    _, Qfull, _, _, _ = _newton_solve(op, Q0)
+    op = _Operator(grid, gas, cfg, consts, fixed_inlet_flux=flux)
+    _, Qfull, _, _, _ = _newton_solve(op, op.subsolution())
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))
 
 

@@ -115,6 +115,27 @@ def test_nonexistence_exits_5(tmp_path):
     assert vals["reason"] == "detachment-beyond-symmetric"
 
 
+def test_physmap_without_a_flow_still_writes_its_summary(tmp_path):
+    # Every command writes summary.kv, also when it exits 5.  A radius is
+    # refused with classify's verdict and the window [r_hat, r_star]; a zeta
+    # beyond zeta_hat with the solve-free keys.
+    cfg = _write_config(tmp_path)
+    cases = (
+        ("--radius", "0.5", "NO_SOLUTION_LONG", ("radius", "r_hat", "r_star")),
+        ("--radius", "0.9999", "NO_SOLUTION_SHORT", ("radius", "r_hat", "r_star")),
+        ("--zeta", "0.24", "detachment-beyond-symmetric", ("zeta", "defect")),
+    )
+    for flag, value, reason, keys in cases:
+        out = tmp_path / reason
+        res = _run("physmap", "--config", str(cfg), flag, value, "--out", str(out))
+        assert res.returncode == 5, res.stderr
+        vals = _read_summary(out)
+        assert (vals["status"], vals["reason"]) == ("no-solution", reason)
+        assert list(vals)[-len(keys) - 3 :] == [keys[0], "status", "reason", *keys[1:], "detail"]
+        assert vals[keys[0]] == value
+        assert vals["detail"]
+
+
 # ---------------------------------------------------------------------------
 # Solve paths
 

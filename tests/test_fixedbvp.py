@@ -8,7 +8,7 @@ import pytest
 import jetstream as js
 import oracle_data as od
 from jetstream import errors, fixedbvp, numerics
-from jetstream.fixedbvp import _Operator, newton_q_floor
+from jetstream.fixedbvp import _Operator
 
 
 def _manufactured_Q(gas, phi, psi, xi, m):
@@ -212,8 +212,7 @@ def test_interior_residual_second_order(gas, cfg, consts):
 
 def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
     grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
-    q_floor = newton_q_floor(gas, consts.c_l)
-    op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
+    op = _Operator(grid, gas, cfg, consts)
     Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, 0.11, od.M_FLUX)
     Qfull[~op.free] = od.A_CE
     rng = np.random.default_rng(11)
@@ -244,7 +243,7 @@ def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
     assert {(False, False): None, (True, False): "left", (False, True): "right"}[
         left, right
     ] == side
-    op = _Operator(grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
+    op = _Operator(grid, gas, cfg, consts)
     Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, od.M_FLUX)
     Qfull[~op.free] = od.A_CE
     F = gas.fast_F_of_A(Qfull)
@@ -264,11 +263,10 @@ def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
     # cell counts).
     zeta, xi = 0.6 * consts.zeta_hat, 0.11
     f = js.solve_fixed(zeta, xi, cfg, gas, consts, opts64)
-    op = _Operator(f.grid, gas, cfg, od.A_CE, newton_q_floor(gas, consts.c_l))
+    op = _Operator(f.grid, gas, cfg, consts)
     system = op.newton_matrix(f.Q)
     z = numerics.solve_banded(system, op.dr_dxi(f.Q, gas.fast_F_of_A(f.Q)))
-    border = fixedbvp._Border(zeta, consts, 64, 32, gas, cfg)
-    slope = border.gradient_dot(f.q[0, :], z, f.grid)
+    slope = op.defect_dot(f.q[0, :], z)
     h = 1e-4 * xi
     fields = [js.solve_fixed(zeta, x, cfg, gas, consts, opts64) for x in (xi + h, xi - h)]
     assert all(
@@ -283,8 +281,7 @@ def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
 
 def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
     grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
-    q_floor = newton_q_floor(gas, consts.c_l)
-    op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
+    op = _Operator(grid, gas, cfg, consts)
     Qfull = np.full((33, 17), od.A_07)
     with mock.patch.object(
         js.GasModel,
@@ -296,12 +293,11 @@ def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
 
 
 def test_certificate_rejects_lost_inlet_coercivity(gas, cfg, consts):
-    # With the whole inlet at the clamp floor (q = q_floor < c_l) and xi at
+    # With the whole inlet at the clamp floor (q = c_l / 2) and xi at
     # the cap, the Robin coupling overwhelms the column weights.
     grid = js.build_grid(0.1, consts.zeta_cap, od.M_FLUX, 32, 16, consts)
-    q_floor = newton_q_floor(gas, consts.c_l)
-    op = _Operator(grid, gas, cfg, od.A_CE, q_floor)
-    Qfull = np.full((33, 17), float(gas.fast_A(q_floor)))
+    op = _Operator(grid, gas, cfg, consts)
+    Qfull = np.full((33, 17), op.a_floor)
     with pytest.raises(errors.SingularSystemError):
         op.newton_matrix(Qfull)
 

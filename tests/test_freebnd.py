@@ -8,6 +8,7 @@ import pytest
 import jetstream as js
 import oracle_data as od
 from jetstream import errors, fixedbvp, freebnd, numerics
+from jetstream.checks import field_checks
 from jetstream.fixedbvp import shoot_tolerance
 
 
@@ -198,6 +199,49 @@ def test_outlet_solve_that_regridded_without_end_now_converges(gas, opts64):
     sol = js.solve_outlet(0.1780163214, cfg, gas, consts, opts64)
     assert isinstance(sol, js.FreeSolution)
     assert abs(sol.inlet_defect) <= shoot_tolerance(cfg)
+
+
+@pytest.mark.parametrize(
+    "vartheta, m, c_e, zeta, n_phi, n_psi, xi",
+    [
+        (0.5687947683731904, 0.2542700204005862, 0.8707393391152856,
+         0.0004239279402045856, 128, 64, None),
+        (0.5048584277216186, 0.2626292953870551, 0.8707465010654961,
+         9.225404149843708e-05, 128, 32, 0.09601741001499525),
+        (0.5833887942910345, 0.2540092766478767, 0.8690399146845048,
+         0.0001854431419671217, 128, 64, None),
+    ],
+    ids=["cap-bound-a", "flow", "cap-bound-b"],
+)
+def test_small_zeta_solves_clear_their_roundoff_floor(
+    gas, vartheta, m, c_e, zeta, n_phi, n_psi, xi
+):
+    # Census cases at 1e-3 to 4e-3 zeta_hat whose cap shot stalled just
+    # above a roundoff floor read from the start iterate (~70x below that of
+    # the answer).  xi None: no flow, the outlet cap binds.
+    cfg = js.FlowConfig(R0=1.0, vartheta=vartheta, m=m, c_e=c_e)
+    consts = js.derive_constants(gas, cfg)
+    sol = js.solve_outlet(zeta, cfg, gas, consts, js.SolverOptions(n_phi, n_psi))
+    if xi is None:
+        assert isinstance(sol, js.Nonexistence)
+        assert sol.reason == "outlet-cap-bound"
+        return
+    assert isinstance(sol, js.FreeSolution)
+    assert abs(sol.xi - xi) <= 1e-9 * xi
+    assert abs(sol.inlet_defect) <= shoot_tolerance(cfg)
+    # The stopping tolerance is fixed per grid from the admissible speeds
+    # c_l <= q <= c_e; it must still cover the roundoff level of the
+    # answer's own field.
+    field = sol.field
+    assert all(c.status == "PASS" for c in field_checks(field, consts))
+    op = fixedbvp._Operator(field.grid, gas, cfg, consts)
+    F = gas.fast_F_of_A(field.Q)
+    h_min = float(np.diff(field.grid.phi_nodes).min())
+    k = float(field.grid.psi_nodes[1] - field.grid.psi_nodes[0])
+    eps = np.finfo(float).eps
+    answer_floor = 64.0 * eps * (np.abs(field.Q).max() / h_min**2 + np.abs(F).max() / k**2)
+    assert field.residual_norm <= op.tol
+    assert op.tol >= answer_floor
 
 
 # ---------------------------------------------------------------------------
