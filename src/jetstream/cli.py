@@ -119,16 +119,17 @@ _SCHEMA = {
 
 
 def _as_float(value, path):
-    if isinstance(value, bool) or value is None:
+    """A config number as a float; nan and +-inf (YAML's ``.inf``, or a
+    number such as ``1e400`` that overflows) are config errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{path} must be a number, got {value!r}") from None
-    raise ConfigError(f"{path} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value, path):

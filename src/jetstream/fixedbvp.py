@@ -8,33 +8,40 @@ on (0, xi) x (0, m) with a nonlinear inlet flux condition dQ/dphi = G(Q)
 wall psi=m, phi < zeta, and Dirichlet data Q = A(c_e) on the free part of the
 top boundary and on the outlet column.
 
-Discretization: cell-centered finite-volume form of the 5-point scheme on a
-tensor grid, uniform in psi; in phi zeta is pinned to a node.  The phi cell
-counts depend on zeta alone, not on xi (``build_grid``): they are chosen at
-a reference outlet potential xi_ref(zeta), a closed-form estimate of the
-flow's xi, where the segments [0, zeta] and [zeta, xi_ref] are uniform with
-spacings within a factor 2, except that when they would differ by more the
-coarser one is graded geometrically away from zeta (first cell twice the
-fine spacing, neighbouring cells within a factor 1 + 8/n_phi), which keeps
-the cell count at most 2 n_phi for every zeta.  Any other xi stretches the
-same cells, so the discrete inlet defect is continuous in xi.  The graded
-bounds hold at every xi; at the answer xi* the two uniform spacings are
-within a factor 2 rho, rho = max(L/L_ref, L_ref/L) with L = xi* - zeta and
+Discretization: two-point-flux finite volumes (Eymard, Gallouet & Herbin,
+Finite Volume Methods, 2000) on a tensor grid, uniform in psi, with zeta
+pinned to a phi node.  A node's row is the net flux through its cell's four
+faces, each a face conductance (dpsi/h on a phi-face, dphi/k on a psi-face,
+dpsi and dphi the cell's extents) times the difference of Q, or of F(Q),
+across it.  The phi cell counts depend on zeta alone, not on xi
+(``build_grid``): they are chosen at a reference outlet potential
+xi_ref(zeta), a closed-form estimate of the flow's xi, where the segments
+[0, zeta] and [zeta, xi_ref] are uniform with spacings within a factor 2,
+except that when they would differ by more the coarser one is graded
+geometrically away from zeta (first cell twice the fine spacing,
+neighbouring cells within a factor 1 + 8/n_phi), which keeps the cell count
+at most 2 n_phi for every zeta.  Any other xi stretches the same cells, so
+the discrete inlet defect is continuous in xi.  The graded bounds hold at
+every xi; at the answer xi* the two uniform spacings are within a
+factor 2 rho, rho = max(L/L_ref, L_ref/L) with L = xi* - zeta and
 L_ref = xi_ref - zeta.  On the desk configuration rho <= 1.07 for zeta from
 1e-3 to 0.999 zeta_hat at 64x32 and 128x64 cells; over 102 flows of random
 configurations (c_e +-10%, vartheta +-15%, m 5-95% of its window) rho
-reached 4.7, where zeta_hat lies far below the cap, and the spacing ratio
-at zeta stayed in [0.34, 2].
+reached 4.7, where zeta_hat lies far below the cap, and the spacing ratio at
+zeta stayed in [0.34, 2].
 
-Boundary rows eliminate mirror ghosts through the flux faces, which keeps
-the Newton matrix a Z-matrix so an M-matrix certificate can be asserted at
-each factorization (a literal one-sided 3-point boundary row would put a
-wrong-signed entry in the matrix).  On uniform cells every row is second-order accurate; on graded
-cells the leading truncation term of a row is proportional to h_E - h_W,
-which the ratio bound keeps O(h^2).  The observed order of the shot outlet
-potential xi is lower, set by the detachment-corner singularity rather than
-the grading: on the desk configuration at zeta = 0.01 zeta_hat over 64x32,
-128x64 and 256x128 cells it is 1.26, so not second order.
+A face on the axis, the top boundary or the inlet has conductance 0, the
+inlet face carrying the Robin flux dpsi G(Q) instead.  Every off-diagonal
+entry of the Newton matrix is then minus a conductance times F' > 0, so it
+is a Z-matrix and an M-matrix certificate can be asserted at each
+factorization (a literal one-sided 3-point boundary row would put a
+wrong-signed entry in the matrix).  On uniform cells every row is
+second-order accurate; on graded cells the leading truncation term of a row
+is proportional to h_E - h_W, which the ratio bound keeps O(h^2).  The
+observed order of the shot outlet potential xi is lower, set by the
+detachment-corner singularity rather than the grading: on the desk
+configuration at zeta = 0.01 zeta_hat over 64x32, 128x64 and 256x128 cells
+it is 1.26, so not second order.
 
 The certificate is a weighted-column dominance test with weight
 w(phi) = xi + eps - phi: flux columns telescope to exact zero, the inlet
@@ -326,8 +333,16 @@ class _Operator:
     """The discrete problem on one grid and everything a Newton solve on it
     reads, built from the configuration's ``DerivedConstants``:
 
-    - the residual, its xi derivative ``dr_dxi`` and the certified Newton
-      matrix (vectorized assembly over the free nodes);
+    - the face conductances ``c = (cE, cW, cN, cS)`` of each free node's
+      cell, cE = dpsi/h_E, cW = dpsi/h_W and cN = cS = dphi/k (dpsi and dphi
+      the cell's extents), 0 on an inlet, axis or top face, and their
+      xi-rates ``dc_dxi`` (None on the symmetric grid);
+    - the residual, the net face flux (``_net_flux``) less dpsi G(Q) on the
+      inlet rows, and its xi derivative ``dr_dxi``, the net flux through
+      ``dc_dxi``;
+    - the certified Newton matrix M = -J: diagonal cE + cW + (cN + cS) F'_C,
+      less dpsi/(R0 q) on the inlet rows, off-diagonal entries -cE, -cW,
+      -cN F'_N and -cS F'_S;
     - the Dirichlet value ``a_ce`` = A(c_e) and the clamp floor ``a_floor``
       = A(max(c_l/2, the flux tables' floor));
     - the stopping tolerance ``tol`` of the density-norm residual, a
@@ -364,9 +379,8 @@ class _Operator:
         self.free = free
         idx = np.full((np_ + 1, nq + 1), -1, dtype=np.int64)
         idx[free] = np.arange(int(free.sum()))
-        self.idx = idx
         ii, jj = np.nonzero(free)  # row-major == phi-major ordering
-        self.ii, self.jj = ii, jj
+        self.ii = ii
         self.n_free = len(ii)
 
         self.at_inlet = ii == 0
@@ -378,96 +392,95 @@ class _Operator:
         dpsi = np.diff(psi)
         self.defect_w = -0.5 * (np.concatenate([[0.0], dpsi]) + np.concatenate([dpsi, [0.0]]))
 
-        self.jjN = np.minimum(jj + 1, nq)
-        self.jjS = np.maximum(jj - 1, 0)
-        self.pW = np.where(ii > 0, idx[np.maximum(ii - 1, 0), jj], -1)
-        self.pE = idx[ii + 1, jj]
-        self.pN = np.where(self.has_N, idx[ii, self.jjN], -1)
-        self.pS = np.where(self.has_S, idx[ii, self.jjS], -1)
-        self.p = np.arange(self.n_free)
+        # Flat indices into a full-grid array of each free node and of its
+        # E, W, N and S neighbours; a neighbour across the inlet, the axis
+        # or the top boundary is the node itself, behind a zero conductance.
+        iW, jN, jS = np.maximum(ii - 1, 0), np.minimum(jj + 1, nq), np.maximum(jj - 1, 0)
+        self.stencil = tuple(
+            a * (nq + 1) + b for a, b in ((ii, jj), (ii + 1, jj), (iW, jj), (ii, jN), (ii, jS))
+        )
+        # The neighbour table: per face, in the order of ``c``, the free
+        # nodes whose neighbour across it is free too, and the band column
+        # and row of that off-diagonal entry.
+        p = np.arange(self.n_free)
+        self.neighbours = []
+        for face, flat in zip((True, ~self.at_inlet, self.has_N, self.has_S), self.stencil[1:]):
+            col = idx.ravel()[flat]
+            mask = face & (col >= 0)
+            self.neighbours.append((mask, col[mask], nq + 1 + p[mask] - col[mask]))
         self._set_phi(grid)
 
     def _set_phi(self, grid):
-        """Everything that depends on the phi node positions."""
+        """Everything that depends on the phi node positions: the cell
+        extents, the conductances and their xi-rates, and ``tol``."""
         self.grid = grid
-        ii = self.ii
-        h_face = np.diff(grid.phi_nodes)
-        self.hE = h_face[ii]
-        self.hW = np.where(ii > 0, h_face[np.maximum(ii - 1, 0)], 1.0)
-        self.dphi = np.where(ii > 0, 0.5 * (self.hW + self.hE), 0.5 * self.hE)
+        ii, inner = self.ii, ~self.at_inlet
+        h = np.diff(grid.phi_nodes)
+        hE, hW = h[ii], h[ii - 1]  # hW wraps on the inlet column, masked below
+        self.dphi = 0.5 * (np.where(inner, hW, 0.0) + hE)
         self.cell = self.dphi * self.dpsi
         self.phi_of_p = grid.phi_nodes[ii]
+        cE = self.dpsi / hE
+        cW = np.where(inner, self.dpsi / hW, 0.0)
+        cT = self.dphi / self.k
+        self.c = (cE, cW, cT * self.has_N, cT * self.has_S)
+        self.dc_dxi = None
+        if grid.dh_dxi is not None:
+            dh = grid.dh_dxi
+            dcT = 0.5 * (np.where(inner, dh[ii - 1], 0.0) + dh[ii]) / self.k
+            self.dc_dxi = (
+                -cE * dh[ii] / hE,
+                -cW * dh[ii - 1] / hW,
+                dcT * self.has_N,
+                dcT * self.has_S,
+            )
         # Density-norm rows divide second differences by cell spacings, so
         # assembly roundoff is amplified by 1/h^2; the constant covers the
         # row-term count and observed cancellation on extreme-aspect grids.
         eps = np.finfo(float).eps
-        floor = 64.0 * eps * (self.a_bound / float(h_face.min()) ** 2 + self.b_bound / self.k**2)
+        floor = 64.0 * eps * (self.a_bound / float(h.min()) ** 2 + self.b_bound / self.k**2)
         self.tol = max(_NEWTON_TOL, floor)
 
     def on(self, grid: Grid) -> "_Operator":
         """The same operator on another grid of the same zeta, cell counts
-        and psi nodes: the index arrays are shared and only the phi geometry
-        is recomputed."""
+        and psi nodes: the index arrays and the neighbour table are shared
+        and only the phi geometry is recomputed."""
         moved = copy.copy(self)
         moved._set_phi(grid)
         return moved
 
-    def _robin_flux(self, QC_inlet):
-        """Inlet face flux: G(Q) = 1/(R0 q rho(q^2)), or the prescribed profile."""
-        if self.fixed_inlet_flux is not None:
-            return self.fixed_inlet_flux[self.jj[self.at_inlet]]
-        q0 = self.gas.fast_q_of_A(QC_inlet)
-        return 1.0 / (self.cfg.R0 * q0 * self.gas.rho(q0))
+    def _net_flux(self, c, Qfull, F):
+        """cE (Q_E - Q_C) - cW (Q_C - Q_W) + cN (F_N - F_C) - cS (F_C - F_S)
+        at every free node C, for face conductances c = (cE, cW, cN, cS)."""
+        C, E, W, N, S = self.stencil
+        cE, cW, cN, cS = c
+        QC, FC = Qfull.take(C), F.take(C)
+        return (
+            cE * (Qfull.take(E) - QC)
+            - cW * (QC - Qfull.take(W))
+            + cN * (F.take(N) - FC)
+            - cS * (FC - F.take(S))
+        )
 
     def residual(self, Qfull, F=None):
-        """Finite-volume residual over free nodes (cell-integrated units).
-        ``F`` is F(Qfull) when the caller already has it."""
+        """Finite-volume residual over free nodes (cell-integrated units):
+        the net face flux, less the inlet face's flux dpsi G on the inlet
+        rows.  ``F`` is F(Qfull) when the caller already has it."""
         if F is None:
             F = self.gas.fast_F_of_A(Qfull)
-        ii, jj = self.ii, self.jj
-        QC = Qfull[ii, jj]
-        flux_e = self.dpsi * (Qfull[ii + 1, jj] - QC) / self.hE
-        flux_w = np.zeros_like(QC)
-        inner = ~self.at_inlet
-        flux_w[inner] = (
-            self.dpsi[inner]
-            * (QC[inner] - Qfull[ii[inner] - 1, jj[inner]])
-            / self.hW[inner]
-        )
-        flux_w[self.at_inlet] = self.dpsi[self.at_inlet] * self._robin_flux(
-            QC[self.at_inlet]
-        )
-        r = flux_e - flux_w
-        FC = F[ii, jj]
-        rn = self.dphi * (F[ii, self.jjN] - FC) / self.k
-        rs = self.dphi * (FC - F[ii, self.jjS]) / self.k
-        r += np.where(self.has_N, rn, 0.0)
-        r -= np.where(self.has_S, rs, 0.0)
+        if self.fixed_inlet_flux is None:
+            G = inlet_flux(self.gas.fast_q_of_A(Qfull[0, :]), self.gas, self.cfg)
+        else:
+            G = self.fixed_inlet_flux
+        r = self._net_flux(self.c, Qfull, F)
+        r[self.at_inlet] -= self.dpsi[self.at_inlet] * G
         return r
 
     def dr_dxi(self, Qfull, F):
         """d(residual)/d xi at fixed nodal values Q (and F = F(Q)), with the
-        grid's cell counts held fixed: cell widths move at ``grid.dh_dxi``,
-        so each phi-face flux scales as 1/h and each transverse term with
-        its cell's phi extent."""
-        ii, jj = self.ii, self.jj
-        dh = self.grid.dh_dxi
-        dhE = dh[ii]
-        dhW = np.where(ii > 0, dh[np.maximum(ii - 1, 0)], 0.0)
-        QC = Qfull[ii, jj]
-        out = -self.dpsi * (Qfull[ii + 1, jj] - QC) * dhE / self.hE**2
-        inner = ~self.at_inlet
-        out[inner] += (
-            self.dpsi[inner]
-            * (QC[inner] - Qfull[ii[inner] - 1, jj[inner]])
-            * dhW[inner]
-            / self.hW[inner] ** 2
-        )
-        ddphi = np.where(ii > 0, 0.5 * (dhW + dhE), 0.5 * dhE)
-        FC = F[ii, jj]
-        out += np.where(self.has_N, ddphi * (F[ii, self.jjN] - FC) / self.k, 0.0)
-        out -= np.where(self.has_S, ddphi * (FC - F[ii, self.jjS]) / self.k, 0.0)
-        return out
+        grid's cell counts held fixed: the net flux through conductances
+        moving at their xi-rates (the inlet flux does not depend on xi)."""
+        return self._net_flux(self.dc_dxi, Qfull, F)
 
     def density_norm(self, r):
         return float(np.max(np.abs(r) / self.cell))
@@ -475,8 +488,7 @@ class _Operator:
     def subsolution(self):
         """The linear subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)),
         constant in psi: the start of a solve that has no donor field."""
-        c_l = self.consts.c_l
-        slope = 1.0 / (self.cfg.R0 * c_l * float(self.gas.rho(c_l)))
+        slope = inlet_flux(self.consts.c_l, self.gas, self.cfg)
         prof = self.a_ce - (self.grid.xi - self.grid.phi_nodes) * slope
         return np.repeat(prof[:, None], self.grid.n_psi + 1, axis=1)
 
@@ -500,53 +512,35 @@ class _Operator:
 
     def newton_matrix(self, Qfull):
         """Assemble M = -J in band storage and certify it is an M-matrix."""
-        gas = self.gas
-        ii, jj = self.ii, self.jj
-        QC = Qfull[ii, jj]
+        C, _, _, N, S = self.stencil
         # One lookup on the full grid, gathered at the C, N and S neighbours.
-        fp = gas.fast_Fprime_of_A(Qfull)
-        fpC = fp[ii, jj]
+        fp = self.gas.fast_Fprime_of_A(Qfull)
+        fpC = fp.take(C)
         if np.any(fpC <= 0.0):
             raise SingularSystemError("flux slope F' lost positivity (supersonic state)")
-        diag = self.dpsi / self.hE + self.dphi * fpC * (
-            self.has_N.astype(float) + self.has_S.astype(float)
-        ) / self.k
-        inner = ~self.at_inlet
-        diag[inner] += self.dpsi[inner] / self.hW[inner]
-        alpha = np.zeros_like(diag)
-        if self.fixed_inlet_flux is None:
-            q0 = gas.fast_q_of_A(QC[self.at_inlet])
-            alpha[self.at_inlet] = 1.0 / (self.cfg.R0 * q0)
-            diag[self.at_inlet] -= self.dpsi[self.at_inlet] * alpha[self.at_inlet]
-
-        mW = self.pW >= 0
-        mE = self.pE >= 0
-        mN = self.has_N & (self.pN >= 0)
-        mS = self.has_S & (self.pS >= 0)
-        vW = -self.dpsi / self.hW
-        vE = -self.dpsi / self.hE
-        fpN = fp[ii, self.jjN]
-        fpS = fp[ii, self.jjS]
-        vN = -self.dphi * fpN / self.k
-        vS = -self.dphi * fpS / self.k
+        cE, cW, cN, cS = self.c
+        diag = cE + cW + (cN + cS) * fpC
+        offdiag = (-cE, -cW, -cN * fp.take(N), -cS * fp.take(S))
 
         # --- M-matrix certificate: weighted column sums with w = xi + eps - phi.
-        if self.fixed_inlet_flux is None and np.any(self.at_inlet):
+        xi = self.grid.xi
+        if self.fixed_inlet_flux is None:
+            # G(Q) = 1/(R0 q rho) has dG/dA = -1/(R0 q) on the inlet rows.
+            q0 = self.gas.fast_q_of_A(Qfull[0, :])
+            diag[self.at_inlet] -= self.dpsi[self.at_inlet] / (self.cfg.R0 * q0)
             q_min = float(np.min(q0))
             if not self.coercive(q0):
                 raise SingularSystemError(
                     "inlet coercivity lost: R0 * min q(0,psi) = "
-                    f"{self.cfg.R0 * q_min:.6g} < xi = {self.grid.xi:.6g}"
+                    f"{self.cfg.R0 * q_min:.6g} < xi = {xi:.6g}"
                 )
-            eps = max(1e-12 * self.grid.xi, self.cfg.R0 * q_min - self.grid.xi)
+            eps = max(1e-12 * xi, self.cfg.R0 * q_min - xi)
         else:
-            eps = self.grid.xi
-        w = self.grid.xi + eps - self.phi_of_p
+            eps = xi
+        w = xi + eps - self.phi_of_p
         colsum = w * diag
-        np.add.at(colsum, self.pW[mW], (w * vW)[mW])
-        np.add.at(colsum, self.pE[mE], (w * vE)[mE])
-        np.add.at(colsum, self.pN[mN], (w * vN)[mN])
-        np.add.at(colsum, self.pS[mS], (w * vS)[mS])
+        for (mask, col, _), v in zip(self.neighbours, offdiag):
+            np.add.at(colsum, col, (w * v)[mask])
         scale = float(np.max(w * diag))
         if float(colsum.min()) < -1e-9 * scale:
             raise SingularSystemError(
@@ -561,14 +555,8 @@ class _Operator:
         nb = self.grid.n_psi + 1
         ab = np.zeros((2 * nb + 1, self.n_free))
         ab[nb, :] = diag
-        for mask, ptr, vals in (
-            (mW, self.pW, vW),
-            (mE, self.pE, vE),
-            (mN, self.pN, vN),
-            (mS, self.pS, vS),
-        ):
-            dp = self.p[mask] - ptr[mask]
-            ab[nb + dp, ptr[mask]] = vals[mask]
+        for (mask, col, row), v in zip(self.neighbours, offdiag):
+            ab[row, col] = v[mask]
         return numerics.BandedSystem(self.n_free, nb, nb, ab)
 
 
@@ -592,6 +580,12 @@ _CHORD_DECREASE = 0.25
 def shoot_tolerance(cfg: FlowConfig) -> float:
     """Tolerance on |inlet_defect| for a free solution: 1e-8 R0 vartheta."""
     return 1e-8 * cfg.R0 * cfg.vartheta
+
+
+def inlet_flux(q, gas: GasModel, cfg: FlowConfig):
+    """The inlet flux G(q) = 1/(R0 q rho(q^2)) at inlet speed(s) q: the Robin
+    condition reads dQ/dphi = G(q) on the inlet column phi = 0."""
+    return 1.0 / (cfg.R0 * q * gas.rho(q))
 
 
 def _mass_defect(q0, psi_nodes, gas: GasModel, cfg: FlowConfig) -> float:
@@ -876,8 +870,7 @@ def picard_T(
         trace = np.broadcast_to(np.asarray(g, dtype=float), psi.shape).copy()
     if not (np.all(trace >= consts.c_l - 1e-12) and np.all(trace < gas.c_star)):
         raise ConstraintError("inlet profile must lie in [c_l, c*)")
-    flux = 1.0 / (cfg.R0 * trace * np.asarray(gas.rho(trace)))
-    op = _Operator(grid, gas, cfg, consts, fixed_inlet_flux=flux)
+    op = _Operator(grid, gas, cfg, consts, fixed_inlet_flux=inlet_flux(trace, gas, cfg))
     _, Qfull, _, _, _ = _newton_solve(op, op.subsolution())
     return np.asarray(gas.fast_q_of_A(Qfull[0, :]))
 

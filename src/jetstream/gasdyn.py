@@ -45,8 +45,8 @@ class GasModel:
     c_star: float = field(init=False)
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ConstraintError(f"gamma must exceed 1, got {self.gamma}")
+        if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
+            raise ConstraintError(f"gamma must be finite and exceed 1, got {self.gamma}")
         object.__setattr__(self, "c_star", math.sqrt(2.0 / (self.gamma + 1.0)))
         self._build_tables()
 
@@ -168,12 +168,12 @@ class FlowConfig:
     P_e: float | None = None
 
     def __post_init__(self):
-        if not self.R0 > 0.0:
-            raise ConfigError(f"R0 must be positive, got {self.R0}")
+        if not (self.R0 > 0.0 and math.isfinite(self.R0)):
+            raise ConfigError(f"R0 must be positive and finite, got {self.R0}")
         if not 0.0 < self.vartheta < 0.5 * math.pi:
             raise ConfigError(f"vartheta must lie in (0, pi/2), got {self.vartheta}")
-        if not self.m > 0.0:
-            raise ConfigError(f"m must be positive, got {self.m}")
+        if not (self.m > 0.0 and math.isfinite(self.m)):
+            raise ConfigError(f"m must be positive and finite, got {self.m}")
         if (self.c_e is None) == (self.P_e is None):
             raise ConfigError("exactly one of c_e or P_e must be given")
 

@@ -38,7 +38,7 @@ import numpy as np
 from . import numerics
 from .checks import Check, angle_check, check
 from .errors import FoldOverError, NonconvergenceError
-from .fixedbvp import SpeedField
+from .fixedbvp import SpeedField, inlet_flux
 from .gasdyn import FlowConfig, GasModel
 
 
@@ -90,8 +90,7 @@ def _dQ_dphi(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.ndarray:
     phi = grid.phi_nodes
     h = np.diff(phi)
     out = np.empty_like(Q)
-    q0 = field.q[0, :]
-    out[0, :] = 1.0 / (cfg.R0 * q0 * np.asarray(gas.rho(q0)))
+    out[0, :] = inlet_flux(field.q[0, :], gas, cfg)
     hW = h[:-1, None]
     hE = h[1:, None]
     out[1:-1, :] = (

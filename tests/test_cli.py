@@ -62,6 +62,22 @@ def test_missing_required_key_exits_2(tmp_path):
     assert "gas.gamma" in res.stderr
 
 
+def test_non_finite_config_number_exits_2(tmp_path):
+    # YAML reads ``.inf`` as a float and ``1e400`` as a string that float()
+    # turns into inf; both are config errors, not a traceback.
+    for old, new, path in (
+        ("gamma: 1.4", "gamma: .inf", "gas.gamma"),
+        ("gamma: 1.4", "gamma: 1e400", "gas.gamma"),
+        ("R0: 1.0", "R0: .nan", "flow.R0"),
+    ):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        res = _run("classify", "--config", str(cfg), "--radius", "0.9")
+        assert res.returncode == 2, res.stderr
+        assert f"{path} must be a finite number" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_unknown_key_exits_2_with_dotted_path(tmp_path):
     cfg = _write_config(tmp_path, extra="  turbo: yes\n")
     res = _run("solve-fixed", "--config", str(cfg), "--out", str(tmp_path / "o"))

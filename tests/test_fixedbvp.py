@@ -210,10 +210,21 @@ def test_interior_residual_second_order(gas, cfg, consts):
     assert order >= 1.8, f"observed interior residual order {order:.3f}"
 
 
-def test_newton_matrix_matches_directional_derivative(gas, cfg, consts):
-    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
-    op = _Operator(grid, gas, cfg, consts)
-    Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, 0.11, od.M_FLUX)
+@pytest.mark.parametrize(
+    "zeta, xi, fixed_flux",
+    [(0.06, 0.11, False), (0.001, 0.15, False), (0.1, 0.1003, False), (0.06, 0.11, True)],
+    ids=["uniform", "graded-right", "graded-left", "fixed-inlet-flux"],
+)
+def test_newton_matrix_matches_directional_derivative(gas, cfg, consts, zeta, xi, fixed_flux):
+    # The grids of test_dr_dxi_matches_central_difference, with the Robin
+    # inlet, and the Picard map's operator with a prescribed inlet flux.
+    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16, consts)
+    flux = None
+    if fixed_flux:
+        trace = np.linspace(consts.c_l, consts.c_e, grid.n_psi + 1)
+        flux = fixedbvp.inlet_flux(trace, gas, cfg)
+    op = _Operator(grid, gas, cfg, consts, fixed_inlet_flux=flux)
+    Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, od.M_FLUX)
     Qfull[~op.free] = od.A_CE
     rng = np.random.default_rng(11)
     v = rng.uniform(-1.0, 1.0, op.n_free)

@@ -1,5 +1,7 @@
 """Gas relations, flux primitives, and the derived-constants record."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ def test_vacuum_limit_guard():
 def test_gamma_must_exceed_one():
     with pytest.raises(errors.ConstraintError):
         js.GasModel(1.0)
+
+
+def test_gamma_must_be_finite():
+    with pytest.raises(errors.ConstraintError):
+        js.GasModel(math.inf)
+
+
+@pytest.mark.parametrize("key", ["R0", "m"])
+def test_flow_config_rejects_infinite_R0_and_m(key):
+    kwargs = dict(R0=1.0, vartheta=0.5, m=0.25, c_e=0.8)
+    kwargs[key] = math.inf
+    with pytest.raises(errors.ConfigError):
+        js.FlowConfig(**kwargs)
 
 
 def test_flow_config_needs_exactly_one_outlet_condition():
