@@ -2,12 +2,15 @@
 
 Subcommands: solve-fixed, solve-free, classify, sweep, physmap, verify.
 All physics comes from a YAML config file; a handful of flags (--zeta, --xi,
---radius, --n, --out) override per run.  Outputs are deterministic:
-identical configs give byte-identical CSV/summary files, floats are written
-in shortest round-trip form, and wall-clock timings go to stderr only.
+--radius, --n, --out) override per run.  Config keys are read by their
+parsers in ``_SCHEMA``, and the number flags by the same ``_as_float``.
+Outputs are deterministic: identical configs give byte-identical CSV/summary
+files, floats are written in shortest round-trip form, and wall-clock
+timings go to stderr only.
 
 Exit codes: 0 success (including classification verdicts), 1 verification
-failures, 2 configuration errors, 3 constraint violations, 4 numerical
+failures, 2 configuration or usage errors (a non-finite number, an output
+directory that cannot be created), 3 constraint violations, 4 numerical
 failures (nonconvergence, singular systems, fold-over), 5 nonexistence of a
 flow for the requested geometry.
 """
@@ -83,39 +86,8 @@ class RunConfig:
     out_dir: str
 
 
-@dataclass
-class RunSummary:
-    """Flat key-value record of one command's numbers plus wall times.
-
-    ``values`` is serialized to summary.kv in insertion order; ``timings``
-    goes to stderr only, keeping the written outputs byte-stable."""
-
-    values: dict
-    timings: dict
-
-    def set(self, key, value):
-        self.values[key] = value
-
-    def time(self, key, seconds):
-        self.timings[key] = seconds
-
-
 # ---------------------------------------------------------------------------
 # Config loading.
-
-_SCHEMA = {
-    "gas": {"gamma": "float"},
-    "flow": {
-        "R0": "float",
-        "vartheta": "float",
-        "m": "float",
-        "c_e": "float",
-        "P_e": "float",
-        "R": "float",
-    },
-    "solver": {"n_phi": "int", "n_psi": "int"},
-    "outputs": {"directory": "str"},
-}
 
 
 def _as_float(value, path):
@@ -133,16 +105,30 @@ def _as_float(value, path):
 
 
 def _as_int(value, path):
-    if isinstance(value, bool) or value is None:
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
-            raise ConfigError(f"{path} must be an integer, got {value!r}") from None
+            pass
     raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _as_str(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string")
+    return value
+
+
+#: The parser of each key ``section.key``; a key not named here is refused.
+_SCHEMA = {
+    "gas": {"gamma": _as_float},
+    "flow": dict.fromkeys(("R0", "vartheta", "m", "c_e", "P_e", "R"), _as_float),
+    "solver": dict.fromkeys(("n_phi", "n_psi"), _as_int),
+    "outputs": {"directory": _as_str},
+}
+_REQUIRED = ("gas.gamma", "flow.R0", "flow.vartheta", "flow.m")
 
 
 def load_config(path: str) -> RunConfig:
@@ -162,56 +148,39 @@ def load_config(path: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping of sections")
+    values = {section: {} for section in _SCHEMA}
     for section, content in data.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section '{section}'")
-        if content is None:
-            continue
-        if not isinstance(content, dict):
+        if not isinstance(content, (dict, type(None))):
             raise ConfigError(f"config section '{section}' must be a mapping")
-        for key in content:
+        for key, value in (content or {}).items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
+            values[section][key] = _SCHEMA[section][key](value, f"{section}.{key}")
+    for dotted in _REQUIRED:
+        section, _, key = dotted.partition(".")
+        if key not in values[section]:
+            raise ConfigError(f"missing required key '{dotted}'")
 
-    gas_sec = data.get("gas") or {}
-    if "gamma" not in gas_sec:
-        raise ConfigError("missing required key 'gas.gamma'")
-    gamma = _as_float(gas_sec["gamma"], "gas.gamma")
-
-    flow_sec = data.get("flow") or {}
-    for req in ("R0", "vartheta", "m"):
-        if req not in flow_sec:
-            raise ConfigError(f"missing required key 'flow.{req}'")
-    kwargs = {
-        "R0": _as_float(flow_sec["R0"], "flow.R0"),
-        "vartheta": _as_float(flow_sec["vartheta"], "flow.vartheta"),
-        "m": _as_float(flow_sec["m"], "flow.m"),
-    }
-    if "c_e" in flow_sec:
-        kwargs["c_e"] = _as_float(flow_sec["c_e"], "flow.c_e")
-    if "P_e" in flow_sec:
-        kwargs["P_e"] = _as_float(flow_sec["P_e"], "flow.P_e")
-    flow = FlowConfig(**kwargs)
-    R = _as_float(flow_sec["R"], "flow.R") if "R" in flow_sec else None
-
-    # A cell count the config leaves out keeps its SolverOptions value.
-    solver_sec = data.get("solver") or {}
-    opts = SolverOptions(
-        **{key: _as_int(value, f"solver.{key}") for key, value in solver_sec.items()}
-    )
-
-    out_sec = data.get("outputs") or {}
-    directory = out_sec.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError("outputs.directory must be a string")
-
+    # A key the config leaves out keeps its default: no radius, the
+    # SolverOptions cell counts, the directory "out".
+    R = values["flow"].pop("R", None)
     return RunConfig(
-        gamma=gamma,
-        flow=flow,
+        gamma=values["gas"]["gamma"],
+        flow=FlowConfig(**values["flow"]),
         R=R,
-        options=opts,
-        out_dir=directory,
+        options=SolverOptions(**values["solver"]),
+        out_dir=values["outputs"].get("directory", "out"),
     )
+
+
+def _number_flag(text: str) -> float:
+    """A --zeta, --xi or --radius value, read by the config-number rule."""
+    try:
+        return _as_float(text, "value")
+    except ConfigError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -254,57 +223,51 @@ def _write_field_csv(path: Path, field: SpeedField, theta: np.ndarray) -> None:
     )
 
 
-def _write_coords_csv(path: Path, field: SpeedField, phys) -> None:
-    _write_csv(
-        path, ["phi[-]", "psi[-]", "x[len]", "y[len]"], _node_rows(field.grid, phys.x, phys.y)
-    )
-
-
-def _write_curve_csv(path: Path, curve: np.ndarray) -> None:
-    _write_csv(path, ["x[len]", "y[len]"], curve.tolist())
-
-
-def _write_summary(path: Path, summary: RunSummary) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in summary.values.items():
-            fh.write(f"{key}={_fmt(value)}\n")
-
-
-def _emit_summary(summary: RunSummary, out_dir: Path) -> None:
-    _write_summary(out_dir / "summary.kv", summary)
-    for key, value in summary.values.items():
-        print(f"{key}={_fmt(value)}")
-    for key, seconds in summary.timings.items():
+def _emit(path: Path, lines: list[str], timings: dict) -> None:
+    """Write ``lines`` to ``path`` and to stdout, and the wall times to
+    stderr only, keeping the written outputs byte-stable."""
+    text = "".join(f"{line}\n" for line in lines)
+    path.write_text(text, encoding="utf-8", newline="")
+    print(text, end="")
+    for key, seconds in timings.items():
         print(f"[time] {key}: {seconds:.3f}s", file=sys.stderr)
 
 
-def _base_summary(command: str, rc: RunConfig, consts: DerivedConstants) -> RunSummary:
-    s = RunSummary(values={}, timings={})
-    s.set("command", command)
-    s.set("gamma", rc.gamma)
-    s.set("R0", rc.flow.R0)
-    s.set("vartheta", rc.flow.vartheta)
-    s.set("m", rc.flow.m)
-    s.set("c_e", consts.c_e)
-    s.set("c_m", consts.c_m)
-    s.set("c_l", consts.c_l)
-    s.set("zeta_hat", consts.zeta_hat)
-    s.set("R_hat", consts.R_hat)
-    s.set("zeta_cap", consts.zeta_cap)
-    s.set("m_window_lo", consts.m_window[0])
-    s.set("m_window_hi", consts.m_window[1])
-    s.set("admissible", consts.admissible)
-    return s
+def _emit_summary(summary: dict, timings: dict, out_dir: Path) -> None:
+    """summary.kv and stdout get ``summary`` in insertion order."""
+    lines = [f"{key}={_fmt(value)}" for key, value in summary.items()]
+    _emit(out_dir / "summary.kv", lines, timings)
 
 
-def _field_stats(summary: RunSummary, field: SpeedField) -> None:
-    summary.set("n_phi", field.grid.n_phi)
-    summary.set("n_psi", field.grid.n_psi)
-    summary.set("residual_norm", field.residual_norm)
-    summary.set("newton_iters", field.newton_iters)
-    summary.set("back_solves", field.back_solves)
-    summary.set("q_min", float(field.q.min()))
-    summary.set("q_max", float(field.q.max()))
+def _base_summary(command: str, rc: RunConfig, consts: DerivedConstants) -> dict:
+    return {
+        "command": command,
+        "gamma": rc.gamma,
+        "R0": rc.flow.R0,
+        "vartheta": rc.flow.vartheta,
+        "m": rc.flow.m,
+        "c_e": consts.c_e,
+        "c_m": consts.c_m,
+        "c_l": consts.c_l,
+        "zeta_hat": consts.zeta_hat,
+        "R_hat": consts.R_hat,
+        "zeta_cap": consts.zeta_cap,
+        "m_window_lo": consts.m_window[0],
+        "m_window_hi": consts.m_window[1],
+        "admissible": consts.admissible,
+    }
+
+
+def _field_stats(field: SpeedField) -> dict:
+    return {
+        "n_phi": field.grid.n_phi,
+        "n_psi": field.grid.n_psi,
+        "residual_norm": field.residual_norm,
+        "newton_iters": field.newton_iters,
+        "back_solves": field.back_solves,
+        "q_min": float(field.q.min()),
+        "q_max": float(field.q.max()),
+    }
 
 
 def _sym_oracle_error(
@@ -315,22 +278,30 @@ def _sym_oracle_error(
     return float(np.max(np.abs(field.q - qhat[:, None])))
 
 
-def _no_solution(summary: RunSummary, out: Path, reason: str, detail: str, **values) -> int:
+def _no_solution(
+    summary: dict, timings: dict, out: Path, reason: str, detail: str, **values
+) -> int:
     """Finish a command that found no flow: summary.kv gets status, reason,
     ``values`` and detail, and the command exits 5."""
-    summary.set("status", "no-solution")
-    summary.set("reason", reason)
-    for key, value in values.items():
-        summary.set(key, value)
-    summary.set("detail", detail)
-    _emit_summary(summary, out)
+    summary.update(status="no-solution", reason=reason, **values, detail=detail)
+    _emit_summary(summary, timings, out)
     return _EXIT_NONEXISTENCE
 
 
-def _out_dir(rc: RunConfig, args) -> Path:
-    out = Path(args.out) if getattr(args, "out", None) else Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _setup(args) -> tuple[RunConfig, Path, GasModel, DerivedConstants]:
+    """The opening every command shares: the config, with --radius standing
+    in for flow.R; the output directory, created (--out overrides
+    outputs.directory); the gas model and the derived constants."""
+    rc = load_config(args.config)
+    if getattr(args, "radius", None) is not None:
+        rc = replace(rc, R=args.radius)
+    out = Path(args.out or rc.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err}") from None
+    gas = GasModel(rc.gamma)
+    return rc, out, gas, derive_constants(gas, rc.flow)
 
 
 # ---------------------------------------------------------------------------
@@ -338,162 +309,147 @@ def _out_dir(rc: RunConfig, args) -> Path:
 
 
 def cmd_solve_fixed(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
-    gas = GasModel(rc.gamma)
-    consts = derive_constants(gas, rc.flow)
+    rc, out, gas, consts = _setup(args)
     zeta = args.zeta if args.zeta is not None else consts.zeta_hat
     xi = args.xi if args.xi is not None else zeta
     t0 = time.perf_counter()
     field = solve_fixed(zeta, xi, rc.flow, gas, consts, rc.options)
-    t1 = time.perf_counter()
+    timings = {"solve": time.perf_counter() - t0}
     angles = recover_theta(field, gas, rc.flow)
     summary = _base_summary("solve-fixed", rc, consts)
-    summary.set("zeta", zeta)
-    summary.set("xi", xi)
-    _field_stats(summary, field)
-    summary.set("inlet_defect", inlet_defect(field, gas, rc.flow))
-    summary.set("theta_discrepancy", angles.discrepancy)
-    summary.set("theta_estimate", angles.estimate)
+    summary.update(
+        zeta=zeta,
+        xi=xi,
+        **_field_stats(field),
+        inlet_defect=inlet_defect(field, gas, rc.flow),
+        theta_discrepancy=angles.discrepancy,
+        theta_estimate=angles.estimate,
+    )
     if abs(zeta - consts.zeta_hat) <= 1e-12 and abs(xi - zeta) <= 1e-12:
-        summary.set("oracle_max_error", _sym_oracle_error(field, gas, rc.flow, consts))
-    summary.time("solve", t1 - t0)
+        summary["oracle_max_error"] = _sym_oracle_error(field, gas, rc.flow, consts)
     _write_field_csv(out / "field.csv", field, angles.theta)
-    _emit_summary(summary, out)
+    _emit_summary(summary, timings, out)
     return _EXIT_OK
 
 
 def cmd_solve_free(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
-    gas = GasModel(rc.gamma)
-    consts = derive_constants(gas, rc.flow)
+    rc, out, gas, consts = _setup(args)
     zeta = args.zeta if args.zeta is not None else consts.zeta_hat
     summary = _base_summary("solve-free", rc, consts)
-    summary.set("zeta", zeta)
+    summary["zeta"] = zeta
     t0 = time.perf_counter()
     sol = solve_outlet(zeta, rc.flow, gas, consts, rc.options)
-    summary.time("solve", time.perf_counter() - t0)
+    timings = {"solve": time.perf_counter() - t0}
     if isinstance(sol, Nonexistence):
-        return _no_solution(summary, out, sol.reason, sol.detail, defect=sol.defect)
-    summary.set("status", "ok")
-    summary.set("xi", sol.xi)
-    summary.set("inlet_defect", sol.inlet_defect)
-    summary.set("wall_length", sol.wall_length)
-    summary.set("r_equiv", sol.r_equiv)
-    _field_stats(summary, sol.field)
+        return _no_solution(summary, timings, out, sol.reason, sol.detail, defect=sol.defect)
     angles = recover_theta(sol.field, gas, rc.flow)
-    summary.set("theta_discrepancy", angles.discrepancy)
-    summary.set("theta_estimate", angles.estimate)
+    summary.update(
+        status="ok",
+        xi=sol.xi,
+        inlet_defect=sol.inlet_defect,
+        wall_length=sol.wall_length,
+        r_equiv=sol.r_equiv,
+        **_field_stats(sol.field),
+        theta_discrepancy=angles.discrepancy,
+        theta_estimate=angles.estimate,
+    )
     if abs(zeta - consts.zeta_hat) <= 1e-12:
-        summary.set(
-            "oracle_max_error", _sym_oracle_error(sol.field, gas, rc.flow, consts)
-        )
+        summary["oracle_max_error"] = _sym_oracle_error(sol.field, gas, rc.flow, consts)
     _write_field_csv(out / "field.csv", sol.field, angles.theta)
-    _emit_summary(summary, out)
+    _emit_summary(summary, timings, out)
     return _EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
-    radius = args.radius if args.radius is not None else rc.R
-    if radius is None:
+    rc, out, gas, consts = _setup(args)
+    if rc.R is None:
         raise ConfigError("classify needs a radius: pass --radius or set flow.R")
-    gas = GasModel(rc.gamma)
-    consts = derive_constants(gas, rc.flow)
     t0 = time.perf_counter()
-    result = classify_radius(radius, rc.flow, gas, consts, rc.options)
+    result = classify_radius(rc.R, rc.flow, gas, consts, rc.options)
+    timings = {"classify": time.perf_counter() - t0}
     summary = _base_summary("classify", rc, consts)
-    summary.time("classify", time.perf_counter() - t0)
-    summary.set("radius", radius)
-    summary.set("verdict", result.verdict)
-    summary.set("r_hat", result.r_hat)
-    summary.set("r_star", result.r_star)
+    summary.update(radius=rc.R, verdict=result.verdict, r_hat=result.r_hat, r_star=result.r_star)
     if result.verdict == "EXISTS":
-        summary.set("zeta", result.zeta)
-        summary.set("xi", result.xi)
-        summary.set("wall_length", result.wall_length)
-    _emit_summary(summary, out)
+        summary.update(zeta=result.zeta, xi=result.xi, wall_length=result.wall_length)
+    _emit_summary(summary, timings, out)
     return _EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
-    gas = GasModel(rc.gamma)
-    consts = derive_constants(gas, rc.flow)
+    rc, out, gas, consts = _setup(args)
     t0 = time.perf_counter()
     rows = sweep_zeta(args.n, rc.flow, gas, consts, rc.options)
-    elapsed = time.perf_counter() - t0
+    timings = {"sweep": time.perf_counter() - t0}
     _write_csv(
         out / "sweep.csv",
         ["zeta[-]", "xi[-]", "L[len]", "R_equiv[len]", "status", "message"],
         ((r.zeta, r.xi, r.wall_length, r.r_equiv, r.status, r.message) for r in rows),
     )
-    summary = _base_summary("sweep", rc, consts)
-    summary.time("sweep", elapsed)
-    summary.set("rows", len(rows))
-    summary.set("n_ok", sum(1 for r in rows if r.status == "ok"))
-    summary.set("n_no_solution", sum(1 for r in rows if r.status == "no-solution"))
-    summary.set("n_error", sum(1 for r in rows if r.status == "error"))
+    statuses = [r.status for r in rows]
     xs = [r.xi for r in rows if r.status == "ok"]
-    summary.set("xi_strictly_decreasing", all(b < a for a, b in zip(xs, xs[1:])))
-    _emit_summary(summary, out)
+    summary = _base_summary("sweep", rc, consts)
+    summary.update(
+        rows=len(rows),
+        n_ok=statuses.count("ok"),
+        n_no_solution=statuses.count("no-solution"),
+        n_error=statuses.count("error"),
+        xi_strictly_decreasing=all(b < a for a, b in zip(xs, xs[1:])),
+    )
+    _emit_summary(summary, timings, out)
     return _EXIT_OK
 
 
 def cmd_physmap(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
-    gas = GasModel(rc.gamma)
-    consts = derive_constants(gas, rc.flow)
+    rc, out, gas, consts = _setup(args)
     summary = _base_summary("physmap", rc, consts)
-    radius = args.radius if args.radius is not None else rc.R
+    timings = {}
     t0 = time.perf_counter()
-    if radius is not None:
-        summary.set("radius", radius)
+    if rc.R is not None:
+        summary["radius"] = rc.R
         try:
-            sol = match_R(radius, rc.flow, gas, consts, rc.options)
+            sol = match_R(rc.R, rc.flow, gas, consts, rc.options)
         except (LongNozzleError, ShortNozzleError) as err:
-            summary.time("solve", time.perf_counter() - t0)
+            timings["solve"] = time.perf_counter() - t0
             # The reason is classify's verdict for this radius.
             short = isinstance(err, ShortNozzleError)
             reason = "NO_SOLUTION_SHORT" if short else "NO_SOLUTION_LONG"
-            return _no_solution(summary, out, reason, str(err), r_hat=err.r_hat, r_star=err.r_star)
+            return _no_solution(
+                summary, timings, out, reason, str(err), r_hat=err.r_hat, r_star=err.r_star
+            )
     else:
         zeta = args.zeta if args.zeta is not None else consts.zeta_hat
         sol = solve_outlet(zeta, rc.flow, gas, consts, rc.options)
         if isinstance(sol, Nonexistence):
-            summary.set("zeta", zeta)
-            summary.time("solve", time.perf_counter() - t0)
-            return _no_solution(summary, out, sol.reason, sol.detail, defect=sol.defect)
-    summary.time("solve", time.perf_counter() - t0)
-    summary.set("status", "ok")
-    summary.set("zeta", sol.zeta)
-    summary.set("xi", sol.xi)
-    summary.set("wall_length", sol.wall_length)
-    summary.set("r_equiv", sol.r_equiv)
-    _field_stats(summary, sol.field)
+            summary["zeta"] = zeta
+            timings["solve"] = time.perf_counter() - t0
+            return _no_solution(summary, timings, out, sol.reason, sol.detail, defect=sol.defect)
+    timings["solve"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     angles = recover_theta(sol.field, gas, rc.flow)
     phys = reconstruct(sol.field, angles, rc.flow, gas)
-    summary.time("reconstruct", time.perf_counter() - t1)
-    summary.set("theta_discrepancy", angles.discrepancy)
-    summary.set("theta_estimate", angles.estimate)
-    summary.set("mass_flux_out", phys.mass_flux_out)
-    checks = geometry_checks(phys, angles, sol.field, gas, rc.flow, R=radius)
-    summary.set("geometry_checks", len(checks))
-    summary.set("geometry_failed", sum(1 for c in checks if not c.passed))
-    for c in checks:
-        summary.set(f"geometry.{c.name}", c.status)
+    timings["reconstruct"] = time.perf_counter() - t1
+    checks = geometry_checks(phys, angles, sol.field, gas, rc.flow, R=rc.R)
+    summary.update(
+        status="ok",
+        zeta=sol.zeta,
+        xi=sol.xi,
+        wall_length=sol.wall_length,
+        r_equiv=sol.r_equiv,
+        **_field_stats(sol.field),
+        theta_discrepancy=angles.discrepancy,
+        theta_estimate=angles.estimate,
+        mass_flux_out=phys.mass_flux_out,
+        geometry_checks=len(checks),
+        geometry_failed=sum(1 for c in checks if not c.passed),
+    )
+    summary.update({f"geometry.{c.name}": c.status for c in checks})
     _write_field_csv(out / "field.csv", sol.field, angles.theta)
-    _write_coords_csv(out / "coords.csv", sol.field, phys)
-    _write_curve_csv(out / "curves_inlet.csv", phys.inlet_curve)
-    _write_curve_csv(out / "curves_wall.csv", phys.wall_curve)
-    _write_curve_csv(out / "curves_free.csv", phys.free_streamline)
-    _write_curve_csv(out / "curves_outlet.csv", phys.outlet_curve)
-    _emit_summary(summary, out)
+    coords = _node_rows(sol.field.grid, phys.x, phys.y)
+    _write_csv(out / "coords.csv", ["phi[-]", "psi[-]", "x[len]", "y[len]"], coords)
+    curves = (phys.inlet_curve, phys.wall_curve, phys.free_streamline, phys.outlet_curve)
+    for name, curve in zip(("inlet", "wall", "free", "outlet"), curves):
+        _write_csv(out / f"curves_{name}.csv", ["x[len]", "y[len]"], curve.tolist())
+    _emit_summary(summary, timings, out)
     return _EXIT_OK
 
 
@@ -501,11 +457,11 @@ def cmd_physmap(args) -> int:
 # Verification battery.
 
 
-def _verify_battery(rc: RunConfig, inject: str) -> list[Check]:
+def _verify_battery(
+    rc: RunConfig, gas: GasModel, consts: DerivedConstants, inject: str
+) -> list[Check]:
     rows: list[Check] = []
-    gas = GasModel(rc.gamma)
     cfg = rc.flow
-    consts = derive_constants(gas, cfg)
     opts = rc.options
     rng = np.random.default_rng(20260818)
 
@@ -609,22 +565,17 @@ def _verify_battery(rc: RunConfig, inject: str) -> list[Check]:
 
 
 def cmd_verify(args) -> int:
-    rc = load_config(args.config)
-    out = _out_dir(rc, args)
+    rc, out, gas, consts = _setup(args)
     t0 = time.perf_counter()
-    rows = _verify_battery(rc, args.inject)
-    elapsed = time.perf_counter() - t0
+    rows = _verify_battery(rc, gas, consts, args.inject)
+    timings = {"verify": time.perf_counter() - t0}
     lines = []
     for c in rows:
         measured = "-" if c.measured is None else repr(float(c.measured))
         tolerance = "-" if c.tolerance is None else repr(float(c.tolerance))
         lines.append(f"{c.name} {c.status} {measured} {tolerance}")
-    with open(out / "verify.report", "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _emit(out / "verify.report", lines, timings)
     n_fail = sum(1 for c in rows if c.status == "FAIL")
-    print(f"[time] verify: {elapsed:.3f}s", file=sys.stderr)
     print(f"checks={len(rows)} failed={n_fail}")
     return _EXIT_VERIFY if n_fail else _EXIT_OK
 
@@ -650,18 +601,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-fixed", help="solve the fixed-(zeta, xi) problem")
     common(p)
-    p.add_argument("--zeta", type=float, help="detachment potential (default: symmetric)")
-    p.add_argument("--xi", type=float, help="outlet potential (default: zeta)")
+    p.add_argument("--zeta", type=_number_flag, help="detachment potential (default: symmetric)")
+    p.add_argument("--xi", type=_number_flag, help="outlet potential (default: zeta)")
     p.set_defaults(func=cmd_solve_fixed)
 
     p = sub.add_parser("solve-free", help="solve with the outlet potential shot from mass flux")
     common(p)
-    p.add_argument("--zeta", type=float, help="detachment potential (default: symmetric)")
+    p.add_argument("--zeta", type=_number_flag, help="detachment potential (default: symmetric)")
     p.set_defaults(func=cmd_solve_free)
 
     p = sub.add_parser("classify", help="existence verdict for a nozzle radius")
     common(p)
-    p.add_argument("--radius", type=float, help="nozzle radius R (default: flow.R)")
+    p.add_argument("--radius", type=_number_flag, help="nozzle radius R (default: flow.R)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="tabulate the family over detachment abscissas")
@@ -671,8 +622,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("physmap", help="reconstruct the physical-plane flow and curves")
     common(p)
-    p.add_argument("--zeta", type=float, help="detachment potential (default: symmetric)")
-    p.add_argument("--radius", type=float, help="match this nozzle radius instead of --zeta")
+    p.add_argument("--zeta", type=_number_flag, help="detachment potential (default: symmetric)")
+    p.add_argument(
+        "--radius", type=_number_flag, help="match this nozzle radius instead of --zeta"
+    )
     p.set_defaults(func=cmd_physmap)
 
     p = sub.add_parser("verify", help="run the invariant suite and write a report")

@@ -50,6 +50,47 @@ def _read_summary(out_dir: Path) -> dict:
     return values
 
 
+# The summary.kv key sequence of each command: every summary opens with the
+# config and its derived constants; a solved field adds its statistics.
+BASE_KEYS = [
+    "command", "gamma", "R0", "vartheta", "m", "c_e", "c_m", "c_l", "zeta_hat", "R_hat",
+    "zeta_cap", "m_window_lo", "m_window_hi", "admissible",
+]
+FIELD_KEYS = ["n_phi", "n_psi", "residual_norm", "newton_iters", "back_solves", "q_min", "q_max"]
+GEOMETRY_ROWS = [
+    "inlet_circularity", "inlet_normality", "axis_collinearity", "wall_collinearity",
+    "wall_angle", "detachment_angle", "theta_min", "theta_max", "free_x_increasing",
+    "free_slope_upper", "free_slope_lower", "free_convexity", "outlet_y_increasing",
+    "outlet_slope_lower", "outlet_slope_upper", "outlet_convexity", "mass_flux_columns",
+    "outlet_mass_flux",
+]
+SUMMARY_KEYS = {
+    "solve-fixed": [
+        "zeta", "xi", *FIELD_KEYS, "inlet_defect", "theta_discrepancy", "theta_estimate",
+        "oracle_max_error",
+    ],
+    "solve-free": [
+        "zeta", "status", "xi", "inlet_defect", "wall_length", "r_equiv", *FIELD_KEYS,
+        "theta_discrepancy", "theta_estimate", "oracle_max_error",
+    ],
+    "solve-free no-solution": ["zeta", "status", "reason", "defect", "detail"],
+    "classify EXISTS": ["radius", "verdict", "r_hat", "r_star", "zeta", "xi", "wall_length"],
+    "classify NO_SOLUTION": ["radius", "verdict", "r_hat", "r_star"],
+    "sweep": ["rows", "n_ok", "n_no_solution", "n_error", "xi_strictly_decreasing"],
+    "physmap": [
+        "status", "zeta", "xi", "wall_length", "r_equiv", *FIELD_KEYS, "theta_discrepancy",
+        "theta_estimate", "mass_flux_out", "geometry_checks", "geometry_failed",
+        *(f"geometry.{name}" for name in GEOMETRY_ROWS),
+    ],
+    "physmap --radius no-solution": ["radius", "status", "reason", "r_hat", "r_star", "detail"],
+}
+
+
+def _assert_summary_keys(out_dir: Path, case: str) -> None:
+    keys = [line.partition("=")[0] for line in (out_dir / "summary.kv").read_text().splitlines()]
+    assert keys == BASE_KEYS + SUMMARY_KEYS[case], case
+
+
 # ---------------------------------------------------------------------------
 # Config validation and exit codes
 
@@ -76,6 +117,42 @@ def test_non_finite_config_number_exits_2(tmp_path):
         assert res.returncode == 2, res.stderr
         assert f"{path} must be a finite number" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_non_finite_flag_exits_2(tmp_path):
+    # The number flags follow the config-number rule: nan and +-inf are
+    # usage errors, refused before any solve.
+    cfg = _write_config(tmp_path)
+    for command, flag, value in (
+        ("solve-free", "--zeta", "inf"),
+        ("classify", "--radius", "inf"),
+        ("solve-fixed", "--xi", "nan"),
+        ("physmap", "--zeta", "nan"),
+        ("physmap", "--radius", "inf"),
+    ):
+        out = tmp_path / f"{command}{flag}"
+        res = _run(command, "--config", str(cfg), flag, value, "--out", str(out))
+        assert res.returncode == 2, (command, flag, res.returncode, res.stderr)
+        assert flag in res.stderr and "finite" in res.stderr, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+
+def test_unusable_output_directory_exits_2(tmp_path):
+    # An output directory below a file, named by --out or by
+    # outputs.directory, is a config error, not a traceback.
+    blocker = tmp_path / "afile"
+    blocker.write_text("x")
+    cfg = _write_config(tmp_path)
+    res = _run("solve-fixed", "--config", str(cfg), "--out", str(blocker / "out"))
+    assert res.returncode == 2, res.stderr
+    assert "cannot create output directory" in res.stderr
+    assert "Traceback" not in res.stderr
+    cfg.write_text(cfg.read_text().replace(str(tmp_path / "out"), str(blocker / "sub")))
+    res = _run("classify", "--config", str(cfg), "--radius", "0.9")
+    assert res.returncode == 2, res.stderr
+    assert "cannot create output directory" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_unknown_key_exits_2_with_dotted_path(tmp_path):
@@ -129,6 +206,7 @@ def test_nonexistence_exits_5(tmp_path):
     vals = _read_summary(out)
     assert vals["status"] == "no-solution"
     assert vals["reason"] == "detachment-beyond-symmetric"
+    _assert_summary_keys(out, "solve-free no-solution")
 
 
 def test_physmap_without_a_flow_still_writes_its_summary(tmp_path):
@@ -149,6 +227,8 @@ def test_physmap_without_a_flow_still_writes_its_summary(tmp_path):
         assert (vals["status"], vals["reason"]) == ("no-solution", reason)
         assert list(vals)[-len(keys) - 3 :] == [keys[0], "status", "reason", *keys[1:], "detail"]
         assert vals[keys[0]] == value
+        if flag == "--radius":
+            _assert_summary_keys(out, "physmap --radius no-solution")
         assert vals["detail"]
 
 
@@ -163,6 +243,7 @@ def test_solve_fixed_symmetric_reports_oracle_error(tmp_path):
     assert res.returncode == 0, res.stderr
     vals = _read_summary(out)
     assert float(vals["oracle_max_error"]) < 1e-9
+    _assert_summary_keys(out, "solve-fixed")
     header = (out / "field.csv").read_text().splitlines()[0]
     assert header == "phi[-],psi[-],q[-],Q[-],theta[rad]"
     # stdout mirrors the summary, timings go to stderr only
@@ -176,8 +257,7 @@ def test_solve_free_summary_keys(tmp_path):
     res = _run("solve-free", "--config", str(cfg), "--out", str(out))
     assert res.returncode == 0, res.stderr
     vals = _read_summary(out)
-    for key in ("xi", "inlet_defect", "wall_length", "r_equiv", "zeta_hat"):
-        assert key in vals
+    _assert_summary_keys(out, "solve-free")
     h = od.ZETA_HAT / 32
     assert abs(float(vals["xi"]) - od.ZETA_HAT) <= 2 * h
 
@@ -190,11 +270,13 @@ def test_classify_verdicts(tmp_path):
     vals = _read_summary(out)
     assert vals["verdict"] == "EXISTS"
     assert abs(float(vals["wall_length"]) - (od.R0 - 0.92)) < 1e-5
+    _assert_summary_keys(out, "classify EXISTS")
 
     out2 = tmp_path / "o2"
     res2 = _run("classify", "--config", str(cfg), "--radius", "0.4", "--out", str(out2))
     assert res2.returncode == 0, res2.stderr
     assert _read_summary(out2)["verdict"] == "NO_SOLUTION_LONG"
+    _assert_summary_keys(out2, "classify NO_SOLUTION")
 
 
 def test_classify_without_radius_exits_2(tmp_path):
@@ -216,6 +298,7 @@ def test_sweep_table(tmp_path):
     vals = _read_summary(out)
     assert vals["xi_strictly_decreasing"] == "true"
     assert vals["n_ok"] == "4"
+    _assert_summary_keys(out, "sweep")
 
 
 def test_physmap_outputs(tmp_path):
@@ -237,6 +320,7 @@ def test_physmap_outputs(tmp_path):
     vals = _read_summary(out)
     geo = {k: v for k, v in vals.items() if k.startswith("geometry.")}
     assert geo and all(v == "PASS" for v in geo.values()), geo
+    _assert_summary_keys(out, "physmap")
     coords_header = (out / "coords.csv").read_text().splitlines()[0]
     assert coords_header == "phi[-],psi[-],x[len],y[len]"
     wall = np.loadtxt(out / "curves_wall.csv", delimiter=",", skiprows=1)
@@ -321,15 +405,21 @@ def test_verify_with_flow_radius_passes(tmp_path):
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
+    # Every file a run writes: summary.kv and field.csv, and physmap's
+    # coords.csv and four curves_*.csv.
     cfg = _write_config(tmp_path)
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        res = _run("solve-free", "--config", str(cfg), "--out", str(out))
-        assert res.returncode == 0, res.stderr
-        outs.append(out)
-    for name in ("summary.kv", "field.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for args in (("solve-free",), ("physmap", "--zeta", repr(0.6 * od.ZETA_HAT))):
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{args[0]}-{tag}"
+            res = _run(*args, "--config", str(cfg), "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert len(names) == (2 if args[0] == "solve-free" else 7), names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_summary_counts_back_solves_next_to_factorizations(tmp_path):
