@@ -403,21 +403,32 @@ def match_R(
     detachment, so the achievable radii are (r_star, R0) with r_star just
     under R0 when every zeta is solvable and R_hat the lower endpoint.
     Radii at or below R_hat raise LongNozzleError, radii at or above the
-    achievable maximum raise ShortNozzleError; both carry (r_hat, r_star).
+    achievable maximum (R >= R0 among them) raise ShortNozzleError; both
+    carry (r_hat, r_star).  A radius R <= 0 raises ConstraintError.
     ``zs`` is the minimal-detachment search for this configuration when the
     caller already ran it; its solved endpoints bracket the match.  Inside
     that bracket ``numerics.shrink_bracket`` runs one ``solve_outlet`` per
     step until |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``).
     """
     options = options or SolverOptions()
-    if not (0.0 < R < cfg.R0):
-        raise ConstraintError(f"need 0 < R < R0 = {cfg.R0}, got R = {R}")
+    if not R > 0.0:
+        raise ConstraintError(f"need a positive nozzle radius, got R = {R}")
     target = cfg.R0 - R
 
     if zs is None:
         zs = find_zeta_star(cfg, gas, consts, options)
     sol_lo = zs.at_star
     z_lo = sol_lo.zeta
+    r_hat = consts.R_hat
+    r_star = sol_lo.r_equiv
+    if R >= cfg.R0:
+        # No jet is as wide as the inlet itself, so such a radius demands a
+        # non-positive wetted wall: too short for every detachment.
+        raise ShortNozzleError(
+            f"nozzle radius {R} is not below the inlet radius R0 = {cfg.R0}",
+            r_hat=r_hat,
+            r_star=r_star,
+        )
     sol_hi = zs.at_hat
     if sol_hi is None:
         sol_hi = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
@@ -425,8 +436,6 @@ def match_R(
             raise NonconvergenceError(
                 "the symmetric detachment abscissa itself failed to solve"
             )
-    r_hat = consts.R_hat
-    r_star = sol_lo.r_equiv
     # Wall length is monotone in zeta; detect the direction rather than
     # assume it (it increases with zeta: longer wetted wall).
     increasing = sol_hi.wall_length >= sol_lo.wall_length
@@ -497,15 +506,9 @@ def classify_radius(
 ) -> ClassifyResult:
     """Existence trichotomy for a nozzle of radius R: a flow exists, or the
     nozzle is too long (R below the symmetric detachment radius), or too
-    short (R above every achievable equivalent radius)."""
-    if R <= 0.0:
-        raise ConstraintError(f"need a positive nozzle radius, got R = {R}")
+    short (R above every achievable equivalent radius, R >= R0 included).
+    ``match_R`` holds the radius precondition."""
     zs = find_zeta_star(cfg, gas, consts, options)
-    r_star = zs.at_star.r_equiv
-    if R >= cfg.R0:
-        # No jet is as wide as the inlet itself, so any such radius demands
-        # a non-positive wetted wall: too short for every detachment.
-        return ClassifyResult("NO_SOLUTION_SHORT", r_hat=consts.R_hat, r_star=r_star)
     try:
         sol = match_R(R, cfg, gas, consts, options, zs=zs)
     except LongNozzleError as err:
@@ -515,7 +518,7 @@ def classify_radius(
     return ClassifyResult(
         "EXISTS",
         r_hat=consts.R_hat,
-        r_star=r_star,
+        r_star=zs.at_star.r_equiv,
         zeta=sol.zeta,
         xi=sol.xi,
         wall_length=sol.wall_length,

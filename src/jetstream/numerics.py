@@ -14,9 +14,12 @@ tables use it.  ``pchip_slopes`` gives the node slopes of the monotone
 cubic (PCHIP) interpolant by scipy's ``PchipInterpolator`` rules, and
 ``hermite_excess`` the running gap between a Hermite cubic's integral and
 the trapezoid rule in closed form; the angle recovery's error probes use
-both.  The package needs only scipy's LAPACK wrappers: its interpolation
-module, with the special functions and optimizers it imports, costs a cold
-start more than scipy's linear algebra does.
+both.  The package needs only two LAPACK routines from scipy, and it loads
+them without importing any scipy package: ``_load_flapack`` loads the
+compiled wrapper module ``scipy.linalg._flapack`` from its file, because
+importing ``scipy.linalg`` (it pulls in scipy's array-API layer,
+``numpy.testing`` and f2py) cost ~0.17 s of a ~0.26 s cold start.  A
+scipy without that file fails the import with an ``ImportError``.
 
 Banded solves factor in place.  ``solve_banded`` copies the band into one
 Fortran-ordered (2l + u + 1)-row work array per (l, u), kept per thread and
@@ -36,14 +39,62 @@ factorization.
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConstraintError, NonconvergenceError, SingularSystemError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper module ``scipy.linalg._flapack``,
+    loaded from its file without running the ``scipy`` or ``scipy.linalg``
+    package ``__init__``.
+
+    A copy already in ``sys.modules`` (``scipy.linalg`` was imported first)
+    is reused; a fresh one is registered there, so a later ``import
+    scipy.linalg`` picks up the same module.  Either way its routines are
+    the very objects ``scipy.linalg.lapack`` exports."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("jetstream needs scipy's LAPACK wrappers; scipy is not installed")
+    linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        linalg,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            found = f"scipy {version('scipy')}"
+        except PackageNotFoundError:
+            found = "scipy of unknown version"
+        raise ImportError(
+            f"{found} has no extension module _flapack in {linalg} "
+            f"(suffixes {', '.join(importlib.machinery.EXTENSION_SUFFIXES)})",
+            name=name,
+            path=linalg,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbtrf = _flapack.dgbtrf
+dgbtrs = _flapack.dgbtrs
 
 # 7-point Gauss / 15-point Kronrod rule on [-1, 1].  Standard published
 # abscissae/weights; the rule is open (no endpoint evaluations), which is what

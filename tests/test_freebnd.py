@@ -551,10 +551,15 @@ def test_match_R_long_nozzle(gas, cfg, consts, opts64):
 
 
 def test_match_R_rejects_out_of_range(gas, cfg, consts, opts64):
+    # R <= 0 breaks the precondition; R >= R0 is a nozzle too short for
+    # every detachment, the verdict classify gives it.
     with pytest.raises(errors.ConstraintError):
         js.match_R(0.0, cfg, gas, consts, opts64)
-    with pytest.raises(errors.ConstraintError):
-        js.match_R(od.R0, cfg, gas, consts, opts64)
+    for R in (od.R0, 1.5 * od.R0):
+        with pytest.raises(errors.ShortNozzleError) as exc:
+            js.match_R(R, cfg, gas, consts, opts64)
+        assert abs(exc.value.r_hat - od.R_HAT) < 1e-12
+        assert od.R_HAT < exc.value.r_star < od.R0
 
 
 def test_classify_short_for_radius_at_or_beyond_inlet(gas, cfg, consts, opts64):

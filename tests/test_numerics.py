@@ -1,11 +1,16 @@
 """Numerical kernels: root finding, quadrature, banded solves, power fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
@@ -286,6 +291,55 @@ def test_solve_banded_rejects_a_corrupted_column():
     with mock.patch.object(numerics, "dgbtrs", corrupted):
         with pytest.raises(errors.SingularSystemError, match="column 1"):
             numerics.solve_banded(sys, rhs)
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(js.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_lapack_routines_are_scipys_in_process():
+    # scipy.linalg is loaded here, so the loader hands back its module.
+    assert numerics._load_flapack() is scipy.linalg.lapack._flapack
+    assert numerics.dgbtrf is scipy.linalg.lapack.dgbtrf
+    assert numerics.dgbtrs is scipy.linalg.lapack.dgbtrs
+
+
+@pytest.mark.parametrize("first", ["jetstream", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    # Whichever comes first in a fresh interpreter, one copy of the
+    # extension is loaded and numerics calls scipy's very routines.
+    res = _fresh_python(
+        f"import {first}; from jetstream import numerics; "
+        "import scipy.linalg.lapack as lapack; "
+        "print(numerics._load_flapack() is lapack._flapack, "
+        "numerics.dgbtrf is lapack.dgbtrf, numerics.dgbtrs is lapack.dgbtrs)"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "True", "True"]
+
+
+def test_missing_lapack_wrapper_fails_the_import_loudly(tmp_path):
+    # A scipy whose directory has no _flapack extension: the import stops
+    # with an ImportError naming the module and the directory searched.
+    res = _fresh_python(
+        "import importlib.machinery, importlib.util; "
+        "spec = importlib.machinery.ModuleSpec('scipy', None, is_package=True); "
+        f"spec.submodule_search_locations = [{str(tmp_path)!r}]; "
+        "find_spec = importlib.util.find_spec; "
+        "importlib.util.find_spec = "
+        "lambda name, package=None: spec if name == 'scipy' else find_spec(name, package); "
+        "import jetstream"
+    )
+    assert res.returncode != 0
+    last = res.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:")
+    assert "_flapack" in last and str(tmp_path / "linalg") in last and "scipy " in last
 
 
 @pytest.mark.parametrize("l, u", [(3, 2), (2, 5), (6, 6), (0, 3)])
