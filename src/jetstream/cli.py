@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import time
@@ -199,28 +200,56 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     # csv writes a Python float as its repr, as _fmt does: the shortest
-    # string that reads back to the same float.
+    # string that reads back to the same float.  sweep.csv goes through it
+    # for its free-text message column, which may need quoting.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _node_rows(grid, *values: np.ndarray):
-    """Rows (phi, psi, the given nodal values) phi-major, one phi column
-    at a time, so no array or list of the whole table is built."""
-    n_psi = len(grid.psi_nodes)
-    for i, phi in enumerate(grid.phi_nodes):
-        column = [np.full(n_psi, phi), grid.psi_nodes] + [v[i] for v in values]
-        yield from np.column_stack(column).tolist()
+# The node and curve tables hold only floats.  A float's repr holds no
+# comma, quote or line break, so csv would quote nothing: joining the reprs
+# with commas writes its bytes without its per-cell work, and a coordinate
+# is formatted once per grid line rather than once per node.
+
+
+def _lines(*columns) -> str:
+    """One comma-joined line per row of ``columns`` (iterables of cells)."""
+    return "".join([",".join(row) + "\n" for row in zip(*columns)])
+
+
+def _reprs(values: np.ndarray):
+    return map(repr, values.tolist())
+
+
+def _write_float_csv(path: Path, header: list[str], blocks) -> None:
+    """The header, then each block of ``_lines`` in turn."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _node_lines(grid, *values: np.ndarray):
+    """Blocks of rows (phi, psi, the given nodal values), one per phi
+    column in phi-major order, so no text of the whole table is built."""
+    psi = list(_reprs(grid.psi_nodes))
+    for phi, *column in zip(grid.phi_nodes.tolist(), *values):
+        yield _lines(itertools.repeat(repr(phi)), psi, *map(_reprs, column))
 
 
 def _write_field_csv(path: Path, field: SpeedField, theta: np.ndarray) -> None:
-    _write_csv(
+    _write_float_csv(
         path,
         ["phi[-]", "psi[-]", "q[-]", "Q[-]", "theta[rad]"],
-        _node_rows(field.grid, field.q, field.Q, theta),
+        _node_lines(field.grid, field.q, field.Q, theta),
     )
+
+
+def _write_curve_csv(path: Path, curve: np.ndarray) -> None:
+    """An (n, 2) curve of (x, y) samples, one row each."""
+    _write_float_csv(path, ["x[len]", "y[len]"], [_lines(*map(_reprs, curve.T))])
 
 
 def _emit(path: Path, lines: list[str], timings: dict) -> None:
@@ -444,11 +473,11 @@ def cmd_physmap(args) -> int:
     )
     summary.update({f"geometry.{c.name}": c.status for c in checks})
     _write_field_csv(out / "field.csv", sol.field, angles.theta)
-    coords = _node_rows(sol.field.grid, phys.x, phys.y)
-    _write_csv(out / "coords.csv", ["phi[-]", "psi[-]", "x[len]", "y[len]"], coords)
+    coords = _node_lines(sol.field.grid, phys.x, phys.y)
+    _write_float_csv(out / "coords.csv", ["phi[-]", "psi[-]", "x[len]", "y[len]"], coords)
     curves = (phys.inlet_curve, phys.wall_curve, phys.free_streamline, phys.outlet_curve)
     for name, curve in zip(("inlet", "wall", "free", "outlet"), curves):
-        _write_csv(out / f"curves_{name}.csv", ["x[len]", "y[len]"], curve.tolist())
+        _write_curve_csv(out / f"curves_{name}.csv", curve)
     _emit_summary(summary, timings, out)
     return _EXIT_OK
 

@@ -462,14 +462,17 @@ class _Operator:
             - cS * (FC - F.take(S))
         )
 
-    def residual(self, Qfull, F=None):
+    def residual(self, Qfull, F=None, q0=None):
         """Finite-volume residual over free nodes (cell-integrated units):
         the net face flux, less the inlet face's flux dpsi G on the inlet
-        rows.  ``F`` is F(Qfull) when the caller already has it."""
+        rows.  ``F`` is F(Qfull) and ``q0`` the inlet speeds
+        (``inlet_speeds``) when the caller already has them."""
         if F is None:
             F = self.gas.fast_F_of_A(Qfull)
         if self.fixed_inlet_flux is None:
-            G = inlet_flux(self.gas.fast_q_of_A(Qfull[0, :]), self.gas, self.cfg)
+            if q0 is None:
+                q0 = self.inlet_speeds(Qfull)
+            G = inlet_flux(q0, self.gas, self.cfg)
         else:
             G = self.fixed_inlet_flux
         r = self._net_flux(self.c, Qfull, F)
@@ -492,11 +495,15 @@ class _Operator:
         prof = self.a_ce - (self.grid.xi - self.grid.phi_nodes) * slope
         return np.repeat(prof[:, None], self.grid.n_psi + 1, axis=1)
 
-    def inlet_defect(self, Qfull):
-        """The bordered row, the inlet defect D(Q) (``inlet_defect``), and the
-        inlet speeds q0 it reads; D has no direct xi dependence."""
-        q0 = self.gas.fast_q_of_A(Qfull[0, :])
-        return _mass_defect(q0, self.grid.psi_nodes, self.gas, self.cfg), q0
+    def inlet_speeds(self, Qfull):
+        """The speeds q(0, psi) on the inlet column."""
+        return self.gas.fast_q_of_A(Qfull[0, :])
+
+    def inlet_defect(self, q0) -> float:
+        """The bordered row, the inlet defect D(Q) (``inlet_defect``), from
+        the inlet speeds q0 (``inlet_speeds``); D has no direct xi
+        dependence."""
+        return _mass_defect(q0, self.grid.psi_nodes, self.gas, self.cfg)
 
     def defect_dot(self, q0, v) -> float:
         """(dD/dQ) . v for a vector v over the free nodes."""
@@ -510,8 +517,9 @@ class _Operator:
         holding on the whole clamp range."""
         return self.cfg.R0 * float(np.min(q0)) - self.grid.xi >= -1e-9 * self.grid.xi
 
-    def newton_matrix(self, Qfull):
-        """Assemble M = -J in band storage and certify it is an M-matrix."""
+    def newton_matrix(self, Qfull, q0=None):
+        """Assemble M = -J in band storage and certify it is an M-matrix;
+        ``q0`` is the inlet speeds when the caller already has them."""
         C, _, _, N, S = self.stencil
         # One lookup on the full grid, gathered at the C, N and S neighbours.
         fp = self.gas.fast_Fprime_of_A(Qfull)
@@ -526,7 +534,8 @@ class _Operator:
         xi = self.grid.xi
         if self.fixed_inlet_flux is None:
             # G(Q) = 1/(R0 q rho) has dG/dA = -1/(R0 q) on the inlet rows.
-            q0 = self.gas.fast_q_of_A(Qfull[0, :])
+            if q0 is None:
+                q0 = self.inlet_speeds(Qfull)
             diag[self.at_inlet] -= self.dpsi[self.at_inlet] / (self.cfg.R0 * q0)
             q_min = float(np.min(q0))
             if not self.coercive(q0):
@@ -629,11 +638,16 @@ def _newton_solve(op: _Operator, Qfull0, regrid=None):
     Qfull[~op.free] = op.a_ce
     Qfull[op.free] = np.clip(Qfull[op.free], op.a_floor, op.a_ce)
     F = op.gas.fast_F_of_A(Qfull)
-    r = op.residual(Qfull, F)
+    # The inlet speeds of an iterate are looked up once and read by the
+    # residual, the chord step's coercivity test, the defect and the Newton
+    # matrix alike; a fixed inlet flux (no bordered row then) reads none.
+    robin = op.fixed_inlet_flux is None
+    q0 = op.inlet_speeds(Qfull) if robin else None
+    r = op.residual(Qfull, F, q0)
     norm = op.density_norm(r)
-    D = q0 = scale = merit = shoot_tol = None
+    D = scale = merit = shoot_tol = None
     if regrid is not None:
-        D, q0 = op.inlet_defect(Qfull)
+        D = op.inlet_defect(q0)
         shoot_tol = shoot_tolerance(op.cfg)
 
     def trial(delta, dxi, lam, chord=False):
@@ -650,24 +664,21 @@ def _newton_solve(op: _Operator, Qfull0, regrid=None):
                 return None
         Q_t = Qfull.copy()
         Q_t[op.free] = np.clip(Qfull[op.free] + lam * delta, op.a_floor, op.a_ce)
-        if (
-            chord
-            and op.fixed_inlet_flux is None
-            and not op_t.coercive(op.gas.fast_q_of_A(Q_t[0, :]))
-        ):
+        q0_t = op.inlet_speeds(Q_t) if robin else None
+        if chord and robin and not op_t.coercive(q0_t):
             return None
         decrease = _CHORD_DECREASE if chord else 1.0 - 0.25 * lam
         F_t = op.gas.fast_F_of_A(Q_t)
-        r_t = op_t.residual(Q_t, F_t)
+        r_t = op_t.residual(Q_t, F_t, q0_t)
         norm_t = op_t.density_norm(r_t)
         if dxi == 0.0:
             if not (norm_t <= decrease * norm or norm_t <= op_t.tol):
                 return None
-            D_t = q0_t = None
+            D_t = None
             if regrid is not None:
-                D_t, q0_t = op_t.inlet_defect(Q_t)
+                D_t = op_t.inlet_defect(q0_t)
         else:
-            D_t, q0_t = op_t.inlet_defect(Q_t)
+            D_t = op_t.inlet_defect(q0_t)
             merit_t = max(norm_t / scale[0], abs(D_t) / scale[1])
             if not (
                 merit_t <= decrease * merit
@@ -734,7 +745,7 @@ def _newton_solve(op: _Operator, Qfull0, regrid=None):
                 )
             it += 1
             sys = None  # let the last matrix go before the next is assembled
-            sys = op.newton_matrix(Qfull)
+            sys = op.newton_matrix(Qfull, q0)
             steps = candidates(lambda rhs: numerics.solve_banded(sys, rhs))
             for delta, dxi, lam_min in steps:
                 lam = 1.0

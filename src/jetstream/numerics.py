@@ -10,14 +10,16 @@ fixed summation orders.
 ``HermiteTable`` evaluates a piecewise cubic Hermite interpolant with the
 coefficients, interval search and summation order of scipy's
 ``CubicHermiteSpline``, so its values are bitwise the spline's; the gas
-tables use it.  ``pchip_slopes`` gives the node slopes of the monotone
-cubic (PCHIP) interpolant by scipy's ``PchipInterpolator`` rules, and
-``hermite_excess`` the running gap between a Hermite cubic's integral and
-the trapezoid rule in closed form; the angle recovery's error probes use
-both.  The package needs only two LAPACK routines from scipy, and it loads
-them without importing any scipy package: ``_load_flapack`` loads the
-compiled wrapper module ``scipy.linalg._flapack`` from its file, because
-importing ``scipy.linalg`` (it pulls in scipy's array-API layer,
+tables indexed by speed use it.  ``UniformHermiteTable`` is the same
+interpolant on uniform knots, where the interval is one multiply away; the
+gas law indexed by A uses it.  ``pchip_slopes`` gives the node slopes of
+the monotone cubic (PCHIP) interpolant by scipy's ``PchipInterpolator``
+rules, and ``hermite_excess`` the running gap between a Hermite cubic's
+integral and the trapezoid rule in closed form; the angle recovery's error
+probes use both.  The package needs only two LAPACK routines from scipy,
+and it loads them without importing any scipy package: ``_load_flapack``
+loads the compiled wrapper module ``scipy.linalg._flapack`` from its file,
+because importing ``scipy.linalg`` (it pulls in scipy's array-API layer,
 ``numpy.testing`` and f2py) cost ~0.17 s of a ~0.26 s cold start.  A
 scipy without that file fails the import with an ``ImportError``.
 
@@ -416,6 +418,35 @@ class HermiteTable:
         term = self._c3.take(k)
         term *= z
         res += term
+        return res.reshape(v.shape)
+
+
+class UniformHermiteTable(HermiteTable):
+    """A ``HermiteTable`` on uniformly spaced knots (``np.linspace``'s),
+    for arguments inside [x_0, x_n]: the interval is int((v - x_0) / h)
+    clamped to the last one, found by one multiply instead of a binary
+    search, and the cubic is summed in Horner form."""
+
+    def __init__(self, x, y, dydx):
+        super().__init__(x, y, dydx)
+        self._x0 = float(self._x[0])
+        self._inv_h = (len(self._x) - 1) / (float(self._x[-1]) - self._x0)
+        self._last = len(self._x) - 2
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        k = ((flat - self._x0) * self._inv_h).astype(np.intp)
+        np.minimum(k, self._last, out=k)
+        s = flat - self._x.take(k)
+        # ((c3 s + c2) s + c1) s + c0, in place on the fresh gathered array.
+        res = self._c3.take(k)
+        res *= s
+        res += self._c2.take(k)
+        res *= s
+        res += self._c1.take(k)
+        res *= s
+        res += self._c0.take(k)
         return res.reshape(v.shape)
 
 

@@ -1,14 +1,17 @@
 """End-to-end command-line runs via subprocess: exit codes, files, formats."""
 
+import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import jetstream as js
 import oracle_data as od
+from jetstream import cli
 
 CONFIG_TMPL = """\
 gas:
@@ -364,6 +367,54 @@ def test_physmap_field_csv_writes_each_float_as_its_repr(tmp_path, gas, cfg, con
         for j, s in enumerate(grid.psi_nodes)
     ]
     assert lines[1:] == expected
+
+
+def test_float_csv_writer_writes_the_bytes_of_csv_writer(tmp_path, gas, cfg, consts):
+    # field.csv, coords.csv and the curves_*.csv join float reprs with
+    # commas instead of going through the csv module: the bytes must stay
+    # csv.writer's, here on a 32x16 flow with awkward values planted in it.
+    opts = js.SolverOptions(n_phi=32, n_psi=16)
+    sol = js.solve_outlet(0.6 * od.ZETA_HAT, cfg, gas, consts, opts)
+    angles = js.recover_theta(sol.field, gas, cfg)
+    phys = js.reconstruct(sol.field, angles, cfg, gas)
+    grid = sol.field.grid
+    special = [-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), -float("inf")]
+    q, x = sol.field.q.copy(), phys.x.copy()
+    q[1, : len(special)] = special
+    x[-1, -len(special):] = special
+    wall = phys.wall_curve.copy()
+    wall[0, 0], wall[1, 1] = special[0], special[4]
+
+    def reference(path, header, rows):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    def node_rows(*values):
+        # Python floats, as the writer had them from ndarray.tolist().
+        lists = [v.tolist() for v in values]
+        return [
+            [p, s] + [v[i][j] for v in lists]
+            for i, p in enumerate(grid.phi_nodes.tolist())
+            for j, s in enumerate(grid.psi_nodes.tolist())
+        ]
+
+    header = ["phi[-]", "psi[-]", "q[-]", "Q[-]", "theta[rad]"]
+    cli._write_field_csv(tmp_path / "field.csv", replace(sol.field, q=q), angles.theta)
+    want = reference(tmp_path / "want.csv", header, node_rows(q, sol.field.Q, angles.theta))
+    assert (tmp_path / "field.csv").read_bytes() == want
+
+    header = ["phi[-]", "psi[-]", "x[len]", "y[len]"]
+    cli._write_float_csv(tmp_path / "coords.csv", header, cli._node_lines(grid, x, phys.y))
+    want = reference(tmp_path / "want.csv", header, node_rows(x, phys.y))
+    assert (tmp_path / "coords.csv").read_bytes() == want
+
+    for curve in (wall, phys.free_streamline, np.empty((0, 2))):
+        cli._write_curve_csv(tmp_path / "curve.csv", curve)
+        want = reference(tmp_path / "want.csv", ["x[len]", "y[len]"], curve.tolist())
+        assert (tmp_path / "curve.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

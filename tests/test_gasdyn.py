@@ -71,6 +71,53 @@ def test_fast_tables_match_quadrature(gas):
         assert abs(gas.fast_q_of_A(js.flux_A(gas, q)) - q) < 1e-11
 
 
+# The A-indexed lookups: one cubic Hermite table each, on knots uniform in
+# s = sqrt(-A), against the quadrature path at the exact speed.
+_A_LOOKUPS = ("fast_q_of_A", "fast_F_of_A", "fast_Fprime_of_A")
+
+
+def test_A_indexed_lookups_match_quadrature(gas):
+    cs = gas.c_star
+    qs = np.concatenate([np.geomspace(1e-3, 0.05, 6), np.linspace(0.05, 0.999, 24) * cs])
+    for q in qs:
+        a = js.flux_A(gas, q)
+        assert abs(gas.fast_q_of_A(a) - q) < 1e-11, q
+        assert abs(gas.fast_F_of_A(a) - js.flux_B(gas, q)) < 1e-11, q
+        assert abs(gas.fast_Fprime_of_A(a) / gas.f_prime_of_q(q) - 1.0) < 1e-8, q
+
+
+def test_A_indexed_lookups_clip_at_the_table_ends(gas):
+    # The tables span A(q) for q in [q_knots[0], q_knots[-1]]; arguments
+    # beyond either end, positive A included, read the end value.
+    lo, hi = float(gas._a_knots[0]), float(gas._a_knots[-1])
+    q_lo, q_hi = float(gas._q_knots[0]), float(gas._q_knots[-1])
+    ends = {
+        "fast_q_of_A": (q_lo, q_hi),
+        "fast_F_of_A": (float(gas._b_knots[0]), float(gas._b_knots[-1])),
+        "fast_Fprime_of_A": (gas.f_prime_of_q(q_lo), gas.f_prime_of_q(q_hi)),
+    }
+    for name in _A_LOOKUPS:
+        f = getattr(gas, name)
+        want_lo, want_hi = ends[name]
+        assert f(lo) == pytest.approx(want_lo, rel=1e-12, abs=1e-15), name
+        assert f(hi) == pytest.approx(want_hi, rel=1e-9), name
+        for beyond in (lo - 1.0, np.nextafter(lo, -np.inf)):
+            assert f(beyond) == f(lo), name
+        for beyond in (np.nextafter(hi, np.inf), 0.0, 1.0):
+            assert f(beyond) == f(hi), name
+
+
+def test_A_indexed_lookups_keep_the_argument_shape(gas):
+    a = gas.fast_A(np.linspace(0.05, 0.99, 12).reshape(3, 4) * gas.c_star)
+    for name in _A_LOOKUPS:
+        f = getattr(gas, name)
+        for scalar in (-0.5, np.float64(-0.5), np.array(-0.5)):
+            assert np.ndim(f(scalar)) == 0, name
+        out = f(a)
+        assert out.shape == (3, 4), name
+        assert np.array_equal(out.ravel(), [f(v) for v in a.ravel()]), name
+
+
 def test_vacuum_limit_guard():
     gas = js.GasModel(1.4)
     with pytest.raises(errors.ConstraintError):

@@ -153,19 +153,18 @@ def test_integrate_adaptive_calls_f_once_per_panel():
 
 
 def _gas_tables(gas):
-    """(x, y, dydx) of the five GasModel tables, keyed by attribute name."""
+    """(x, y, dydx) of the three speed-indexed GasModel tables, keyed by
+    attribute name."""
     q = gas._q_knots
     ap, bp, jp = gas.a_prime(q), gas.b_prime(q), gas.j_prime(q)
     return {
         "_A_of_q": (q, gas._a_knots, ap),
         "_B_of_q": (q, gas._b_knots, bp),
-        "_q_of_A": (gas._a_knots, q, 1.0 / ap),
-        "_F_of_A": (gas._a_knots, gas._b_knots, bp / ap),
         "_q_of_j": (q * gas.rho(q), q, 1.0 / jp),
     }
 
 
-@pytest.mark.parametrize("name", ["_A_of_q", "_B_of_q", "_q_of_A", "_F_of_A", "_q_of_j"])
+@pytest.mark.parametrize("name", ["_A_of_q", "_B_of_q", "_q_of_j"])
 def test_gas_tables_are_bitwise_scipy_hermite_splines(gas, name):
     x, y, dydx = _gas_tables(gas)[name]
     ref = CubicHermiteSpline(x, y, dydx)
@@ -187,6 +186,24 @@ def test_gas_tables_are_bitwise_scipy_hermite_splines(gas, name):
         got, want = table(v), ref(v)
         assert type(got) is type(want) and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_uniform_hermite_table_is_the_hermite_spline():
+    # Knots uniform as np.linspace places them; the interval comes from one
+    # multiply and the cubic is summed in Horner form, so the values agree
+    # with scipy's spline to roundoff, not bitwise.
+    x = np.linspace(0.3, 2.9, 513)
+    y, d = np.sin(3.0 * x) * np.exp(x), np.exp(x) * (np.sin(3.0 * x) + 3.0 * np.cos(3.0 * x))
+    table = numerics.UniformHermiteTable(x, y, d)
+    ref = CubicHermiteSpline(x, y, d)
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(x[0], x[-1], (17, 9))
+    for v in (x, np.nextafter(x, np.inf)[:-1], np.nextafter(x, -np.inf)[1:], inside):
+        got = table(v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - ref(v))) < 1e-14 * np.max(np.abs(y))
+    assert table(1.7).shape == ()
+    assert float(table(1.7)) == pytest.approx(float(ref(1.7)), rel=1e-15)
 
 
 def _pchip_cases():
