@@ -52,6 +52,16 @@ phi-face of width h between nodes p and q adds dpsi/h (w_p - w_q) = +-dpsi to
 their two columns, because w is linear in phi, and the two faces of a column
 cancel; psi-faces join nodes of equal phi and so of equal weight.
 
+A solve without a donor field starts from a profile linear in phi and
+constant in psi (``_Operator.subsolution``).  On the symmetric grid xi = zeta
+with the Robin inlet that profile is the discrete solution: the flow is the
+radial one, every interior and wall row vanishes on a linear profile over
+uniform cells, and the inlet row leaves one scalar equation for the inlet
+value, solved by ``numerics.find_root_monotone``.  Newton then finds the
+residual at its tolerance and returns with no factorization.  Off the
+symmetric grid, and for a prescribed inlet flux, the start is the
+subsolution of slope G(c_l).
+
 Newton iterates are clamped to [a_floor, A(c_e)], the clamp floor a_floor
 being A at half the minimal admissible speed c_l (never below the flux
 tables' floor), and damped by halving down to 2**-20.  Convergence is
@@ -347,7 +357,8 @@ class _Operator:
       = A(max(c_l/2, the flux tables' floor));
     - the stopping tolerance ``tol`` of the density-norm residual, a
       constant of the grid (module docstring);
-    - the linear subsolution start (``subsolution``);
+    - the cold start (``subsolution``), on the symmetric grid the discrete
+      solution itself;
     - the bordered row: the inlet mass-flux defect (``inlet_defect``) and
       its gradient (``defect_dot``).
 
@@ -489,10 +500,29 @@ class _Operator:
         return float(np.max(np.abs(r) / self.cell))
 
     def subsolution(self):
-        """The linear subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)),
-        constant in psi: the start of a solve that has no donor field."""
+        """The start of a solve that has no donor field, linear in phi and
+        constant in psi: Q0 = A(c_e) - (xi - phi) s.
+
+        On the symmetric grid (xi = zeta) with the Robin inlet it is the
+        discrete solution itself: a profile linear in phi zeroes every
+        interior and wall row on the uniform cells, and the inlet row
+        s = G(q(A(c_e) - xi s)) is one scalar equation.  Its root a* =
+        A(c_e) - xi s is found on [A(c_l), A(c_e)], where h(a) = (A(c_e) -
+        a)/xi - G(q(a)) decreases (dG/dA = -1/(R0 q) and R0 q >= R0 c_l >=
+        xi) from (1/rho(c_l))(1/xi - 1/(R0 c_l)) >= 0 to -G(c_e) < 0.
+        Elsewhere s = G(c_l) = 1/(R0 c_l rho(c_l^2)), a subsolution."""
+        xi = self.grid.xi
         slope = inlet_flux(self.consts.c_l, self.gas, self.cfg)
-        prof = self.a_ce - (self.grid.xi - self.grid.phi_nodes) * slope
+        if self.grid.dh_dxi is None and self.fixed_inlet_flux is None:
+            gas, cfg = self.gas, self.cfg
+            h = lambda a: (self.a_ce - a) / xi - float(inlet_flux(gas.fast_q_of_A(a), gas, cfg))
+            a = float(gas.fast_A(self.consts.c_l))
+            h_l = h(a)
+            if h_l > 0.0:  # else xi is at the cap R0 c_l, where a* = A(c_l)
+                br = numerics.Bracket(a, self.a_ce, h_l, h(self.a_ce))
+                a = numerics.find_root_monotone(h, br, _ROOT_TOL * abs(a))
+            slope = (self.a_ce - a) / xi
+        prof = self.a_ce - (xi - self.grid.phi_nodes) * slope
         return np.repeat(prof[:, None], self.grid.n_psi + 1, axis=1)
 
     def inlet_speeds(self, Qfull):
@@ -571,6 +601,8 @@ class _Operator:
 
 #: Newton tolerance on the density-norm residual (floored by roundoff).
 _NEWTON_TOL = 1e-10
+#: Relative width, in A, to which the symmetric grid's inlet root is found.
+_ROOT_TOL = 1e-13
 #: Factorizations a Newton solve may take before it gives up.
 _MAX_ITERS = 100
 #: Smallest damping of a fixed-xi Newton step before the line search stalls.
@@ -787,7 +819,9 @@ def solve_fixed(
     """Solve the fixed-(zeta, xi) stream problem on a fresh grid.
 
     The initial iterate is the field ``start``, a solved flow on any grid,
-    carried onto this grid by ``interp_onto``; without one it is the linear
+    carried onto this grid by ``interp_onto``; without one it is
+    ``_Operator.subsolution``: at xi = zeta the discrete solution, returned
+    with ``newton_iters`` = ``back_solves`` = 0, and otherwise the linear
     subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)).  The
     converged field satisfies the Dirichlet data exactly, and must pass
     ``checks.field_checks`` (the speed bounds c_l <= q <= c_e and

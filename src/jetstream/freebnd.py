@@ -12,13 +12,15 @@ already at xi = zeta means the detachment point sits beyond the symmetric
 one (no solution); a negative defect at the solvability cap xi = R0 c_l
 means the inlet cannot carry the flux for so small a zeta (no solution).
 Both outcomes return a typed ``Nonexistence`` record instead of raising.
-Two fixed-xi solves at the ends decide this; between them xi is solved for
-together with the field by one bordered Newton solve (``fixedbvp``).  The
-grid's cell counts depend on zeta only, so every xi the solve visits has its
-nodes on ``build_grid(zeta, xi)`` and the discrete defect is continuous and
-increasing in xi.  The paper's flow is unique for each zeta, so the defect
-has one root and there is no second search: when that solve fails,
-``solve_outlet`` raises NonconvergenceError.
+Two fixed-xi solves at the ends decide this.  The one at xi = zeta is the
+radial flow, linear in phi, so it starts from its discrete solution and
+makes no factorization (``fixedbvp``); the cap shot runs Newton.  Between
+them xi is solved for together with the field by one bordered Newton solve
+(``fixedbvp``).  The grid's cell counts depend on zeta only, so every xi the
+solve visits has its nodes on ``build_grid(zeta, xi)`` and the discrete
+defect is continuous and increasing in xi.  The paper's flow is unique for
+each zeta, so the defect has one root and there is no second search: when
+that solve fails, ``solve_outlet`` raises NonconvergenceError.
 
 Grids of at least 128x64 cells start from the solution one grid coarser
 (nested iteration): the same zeta is solved with half the cells in each
@@ -159,9 +161,10 @@ def solve_outlet(
     there were no coarser level.
 
     Two endpoint shots, fixed-xi solves at xi = zeta and at the cap
-    xi = R0 c_l, decide existence: they return a Nonexistence record when
-    the defect has no root on [zeta, R0 c_l] (see module docstring for the
-    two branches); no verdict comes from a coarser grid.  Between them one
+    xi = R0 c_l, decide existence (the one at xi = zeta starts from its
+    discrete solution and factors nothing): they return a Nonexistence
+    record when the defect has no root on [zeta, R0 c_l] (see module
+    docstring for the two branches); no verdict comes from a coarser grid.  Between them one
     bordered Newton solve takes xi as an unknown, starting at the secant
     point of the two end defects from the nearer end's field.  Either
     bordered solve is one Newton run on ``build_grid(zeta, xi)``, xi moving

@@ -1,10 +1,14 @@
 """Closed-form symmetric jet: the detachment point coincides with the outlet.
 
-When zeta = xi = zeta_hat the stream problem degenerates: the speed depends on
-the potential coordinate alone, Q = A(q) is linear in phi, and the physical
-flow is radial inside the annular sector R_hat <= r <= R0.  These formulas are
-the verification oracle for the PDE solver, so everything here is computed
-from quadrature/root-finding primitives rather than from the solver itself.
+Whenever xi = zeta the stream problem degenerates: the free streamline has
+zero length, the speed depends on the potential coordinate alone, and
+Q = A(q) is linear in phi, its slope the one root of the inlet condition
+(``fixedbvp`` starts such solves from that discrete solution).  At
+zeta = xi = zeta_hat the slope is vartheta/m, the inlet carries the arc's
+mass flux, and the physical flow is radial inside the annular sector
+R_hat <= r <= R0.  These formulas are the verification oracle for the PDE
+solver, so everything here is computed from quadrature/root-finding
+primitives rather than from the solver itself.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 import jetstream as js
 import oracle_data as od
 from jetstream import errors, fixedbvp, numerics
+from jetstream.checks import field_checks
 from jetstream.fixedbvp import _Operator
 
 
@@ -25,6 +26,18 @@ def _manufactured_Q(gas, phi, psi, xi, m):
 def _field_from_Q(gas, grid, Q):
     q = gas.fast_q_of_A(Q)
     return js.SpeedField(grid=grid, Q=Q, q=q, residual_norm=0.0, newton_iters=0)
+
+
+def _gcl_start(gas, cfg, consts, grid):
+    """The linear profile A(c_e) - (xi - phi) G(c_l), constant in psi, as a
+    field on ``grid``: the cold start of a solve off the symmetric grid."""
+    slope = fixedbvp.inlet_flux(consts.c_l, gas, cfg)
+    prof = consts.a_ce - (grid.xi - grid.phi_nodes) * slope
+    return _field_from_Q(gas, grid, np.repeat(prof[:, None], grid.n_psi + 1, axis=1))
+
+
+#: The tight configuration: zeta_star > 0, the cap binds below it.
+TIGHT = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +338,48 @@ def test_symmetric_solve_is_nodally_exact(gas, cfg, consts):
     assert np.max(np.abs(f.q - qhat[:, None])) < 1e-9
 
 
+@pytest.mark.parametrize("frac", [1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_symmetric_grid_starts_from_its_discrete_solution(gas, cfg, consts, opts64, tight, frac):
+    # At xi = zeta the discrete flow is linear in phi and constant in psi,
+    # known up to its inlet value: the cold start is the answer, accepted
+    # without a factorization or a back-solve.  Newton from the G(c_l)
+    # profile reaches the same field.
+    if tight:
+        cfg, consts = TIGHT, js.derive_constants(gas, TIGHT)
+    zeta = frac * consts.zeta_hat
+    f = js.solve_fixed(zeta, zeta, cfg, gas, consts, opts64)
+    assert (f.newton_iters, f.back_solves) == (0, 0)
+    assert float(np.ptp(f.q, axis=1).max()) == 0.0
+    assert all(check.passed for check in field_checks(f, consts))
+    newton = js.solve_fixed(
+        zeta, zeta, cfg, gas, consts, opts64, start=_gcl_start(gas, cfg, consts, f.grid)
+    )
+    assert newton.newton_iters >= 1
+    assert np.max(np.abs(f.q - newton.q)) <= 1e-10
+
+
+def test_symmetric_grid_at_the_cap_starts_at_c_l(gas, cfg, consts, opts64):
+    # At xi = zeta = R0 c_l the inlet root is A(c_l) itself, where the
+    # inlet row's function vanishes to roundoff and has no bracket.
+    cap = consts.zeta_cap
+    f = js.solve_fixed(cap, cap, cfg, gas, consts, opts64)
+    assert (f.newton_iters, f.back_solves) == (0, 0)
+    assert abs(f.q[0, 0] - consts.c_l) <= 1e-12
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_symmetric_grid_root_reproduces_the_radial_flow(gas, cfg, consts, opts64, tight):
+    # The inlet root is the solver's own, from the inlet row's lookups; at
+    # zeta_hat it lands on the closed-form radial flow to roundoff.
+    if tight:
+        cfg, consts = TIGHT, js.derive_constants(gas, TIGHT)
+    zh = consts.zeta_hat
+    f = js.solve_fixed(zh, zh, cfg, gas, consts, opts64)
+    q_hat = js.SymmetricSolution(gas, cfg, consts).q_hat(f.grid.phi_nodes)
+    assert np.max(np.abs(f.q - q_hat[:, None])) <= 1e-12
+
+
 def test_solve_fixed_warm_start_converges_immediately(gas, cfg, consts, opts64):
     zeta = 0.6 * consts.zeta_hat
     xi = 0.11
@@ -355,9 +410,13 @@ def test_chord_step_keeps_the_newton_matrix_certifiable(gas):
     cfg = js.FlowConfig(
         R0=1.0, vartheta=0.5500906822597853, m=0.13596355428611936, c_e=0.7817266307914738
     )
+    # The G(c_l) profile is passed as the start: from it Newton runs, where
+    # the symmetric grid's own cold start is already the solution.
     consts = js.derive_constants(gas, cfg)
     opts = js.SolverOptions(n_phi=64, n_psi=32)
-    f = js.solve_fixed(consts.zeta_hat, consts.zeta_hat, cfg, gas, consts, opts)
+    zh = consts.zeta_hat
+    start = _gcl_start(gas, cfg, consts, js.build_grid(zh, zh, cfg.m, 64, 32, consts))
+    f = js.solve_fixed(zh, zh, cfg, gas, consts, opts, start=start)
     assert f.back_solves >= 1
     sym = js.SymmetricSolution(gas, cfg, consts)
     assert np.max(np.abs(f.q - sym.q_hat(f.grid.phi_nodes)[:, None])) < 1e-9

@@ -315,6 +315,35 @@ def test_requested_grid_factorizes_at_most_twice_after_a_coarse_start(
     assert 1 <= sum(1 for n in unknowns if n >= 128 * 64) <= 2
 
 
+def test_lower_endpoint_shot_factors_nothing(gas):
+    # On a cap-bound zeta both endpoint shots run.  The one at xi = zeta
+    # starts from the symmetric grid's discrete solution and makes no
+    # banded solve; the cap shot does.
+    cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+    consts = js.derive_constants(gas, cfg)
+    opts = js.SolverOptions(n_phi=64, n_psi=32)
+    factorizations, shots = [], []
+    solve_fixed, solve_banded = freebnd.solve_fixed, numerics.solve_banded
+
+    def banded(*args, **kwargs):
+        factorizations.append(1)
+        return solve_banded(*args, **kwargs)
+
+    def fixed(zeta, xi, *args, **kwargs):
+        before = len(factorizations)
+        field = solve_fixed(zeta, xi, *args, **kwargs)
+        shots.append((xi == zeta, len(factorizations) - before))
+        return field
+
+    with mock.patch.object(freebnd, "solve_fixed", fixed), mock.patch.object(
+        numerics, "solve_banded", banded
+    ):
+        sol = js.solve_outlet(0.5 * consts.zeta_hat, cfg, gas, consts, opts)
+    assert isinstance(sol, js.Nonexistence) and sol.reason == "outlet-cap-bound"
+    assert [at_zeta for at_zeta, _ in shots] == [True, False]
+    assert shots[0][1] == 0 and shots[1][1] >= 1
+
+
 @pytest.mark.parametrize("coarse", ["nonexistence", "raises"])
 def test_coarse_verdict_never_decides(gas, cfg, consts, opts128, coarse):
     # A coarser level that finds no flow, or fails, only costs its start:
@@ -450,13 +479,18 @@ def test_zeta_star_positive_when_cap_binds(gas):
 
 def _final_bracket(cfg, gas, consts, opts):
     """find_zeta_star's result and the bracket its Illinois search returned
-    (None when the floor's cap shot already read solvable)."""
+    (None when the floor's cap shot already read solvable).  Only the search
+    over zeta, whose bracket starts at the floor, is recorded: the cold
+    symmetric-grid shots find their inlet roots with the same routine."""
     brackets = []
     shrink = numerics.shrink_bracket
+    floor = freebnd._FLOOR * consts.zeta_hat
 
-    def recording(*args, **kwargs):
-        brackets.append(shrink(*args, **kwargs))
-        return brackets[-1]
+    def recording(f, bracket, *args, **kwargs):
+        result = shrink(f, bracket, *args, **kwargs)
+        if bracket.lo == floor:
+            brackets.append(result)
+        return result
 
     with mock.patch.object(numerics, "shrink_bracket", recording):
         zs = js.find_zeta_star(cfg, gas, consts, opts)
@@ -611,16 +645,20 @@ def test_sweep_keeps_a_singular_row_in_the_table(gas, cfg, consts, opts64, monke
 
 
 def test_sweep_honours_every_solver_option(gas, cfg, consts, monkeypatch):
-    # With no factorization allowed no free problem is solved (one, with its
-    # chord steps, already solves the symmetric row), so every row of the
-    # sweep fails as solve_outlet itself does under the same iteration cap.
+    # With no factorization allowed no free problem below zeta_hat is
+    # solved, so those rows of the sweep fail as solve_outlet itself does
+    # under the same iteration cap.  The symmetric row needs none: its
+    # shot at xi = zeta starts from the discrete solution.
     opts = js.SolverOptions(n_phi=64, n_psi=32)
     monkeypatch.setattr(fixedbvp, "_MAX_ITERS", 0)
     with pytest.raises(errors.NonconvergenceError, match="in 0 iterations"):
         js.solve_outlet(0.5 * consts.zeta_hat, cfg, gas, consts, opts)
+    sym = js.solve_outlet(consts.zeta_hat, cfg, gas, consts, opts)
+    assert (sym.field.newton_iters, sym.field.back_solves) == (0, 0)
     rows = js.sweep_zeta(3, cfg, gas, consts, opts, floor=0.5 * consts.zeta_hat)
-    assert [r.status for r in rows] == ["error"] * 3
-    assert all("in 0 iterations" in r.message for r in rows)
+    assert [r.status for r in rows] == ["error", "error", "ok"]
+    assert all("in 0 iterations" in r.message for r in rows[:2])
+    assert rows[2].xi == sym.xi
 
 
 def test_sweep_needs_three_points(gas, cfg, consts, opts64):

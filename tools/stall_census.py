@@ -14,7 +14,9 @@ Newton once stalled just above its roundoff floor.  Per case, from numpy
 
 with gamma 1.4 and R0 1; the grids cycle 64x32, 128x32, 128x64.  Prints the
 number of flows, of ``Nonexistence`` verdicts (by reason) and of each
-error, its message with the numbers masked.  Run from the repository root:
+error, its message with the numbers masked, and the factorizations
+(``numerics.solve_banded`` calls) and back-solves (``numerics.back_solve``
+calls) made over all cases.  Run from the repository root:
 
     PYTHONPATH=src python tools/stall_census.py [--cases 120] [--verbose]
 
@@ -32,6 +34,7 @@ from collections import Counter
 import numpy as np
 
 import jetstream as js
+from jetstream import numerics
 from jetstream.errors import JetstreamError
 
 GRIDS = ((64, 32), (128, 32), (128, 64))
@@ -57,6 +60,18 @@ def main(argv=None) -> int:
     parser.add_argument("--cases", type=int, default=120, help="number of cases (default 120)")
     parser.add_argument("--verbose", action="store_true", help="print one line per case")
     args = parser.parse_args(argv)
+
+    counts = {"solve_banded": 0, "back_solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key in counts:
+        setattr(numerics, key, counted(key, getattr(numerics, key)))
 
     gas = js.GasModel(1.4)
     rng = np.random.default_rng(2026)
@@ -86,6 +101,7 @@ def main(argv=None) -> int:
             )
     totals = ", ".join(f"{kinds[kind]} {kind}" for kind in ("flow", "Nonexistence", "errors"))
     print(f"cases {args.cases}: {totals}")
+    print(f"factorizations {counts['solve_banded']}, back-solves {counts['back_solve']}")
     for outcome, n in sorted(outcomes.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{n:4d} {outcome}")
     return 0
