@@ -22,24 +22,31 @@ defect is continuous and increasing in xi.  The paper's flow is unique for
 each zeta, so the defect has one root and there is no second search: when
 that solve fails, ``solve_outlet`` raises NonconvergenceError.
 
-Grids of at least 128x64 cells start from the solution one grid coarser
-(nested iteration): the same zeta is solved with half the cells in each
-direction, down to 64x32, and its flow starts one bordered solve on the
-requested grid.  When that solve meets the acceptance above, no endpoint
-shot runs on the requested grid.  A coarse answer is only a starting
-guess: every ``Nonexistence`` verdict comes from the endpoint shots on the
-requested grid, which run whenever the coarse start does not give a flow.
+Before the endpoint shots a solve may take one start, from one of two
+sources.  A caller that has already solved flows of the family on the same
+grid passes them (``near``): the nearest one's field starts one bordered
+solve at the xi of the secant through the two nearest ones (continuation
+along the family; Keller 1977).  Without them, grids of at least 128x64
+cells start from the solution one grid coarser (nested iteration): the same
+zeta is solved with half the cells in each direction, down to 64x32, and its
+flow starts the bordered solve on the requested grid.  When that solve meets
+the acceptance above, no endpoint shot runs on the requested grid.  A start
+is only a guess: every ``Nonexistence`` verdict comes from the endpoint
+shots on the requested grid, which run whenever the start does not give a
+flow.
 
 ``find_zeta_star`` locates the smallest solvable zeta, deciding each probe
 by one fixed-xi shot at the cap, ``match_R`` picks zeta so the wetted wall
-has length R0 - R (matching a nozzle of radius R), and ``sweep_zeta``
-tabulates the family.  Both searches narrow a sign-change bracket with
+has length R0 - R (matching a nozzle of radius R), each probe started from
+the flows solved before it, and ``sweep_zeta`` tabulates the family, each
+rung solved cold.  Both searches narrow a sign-change bracket with
 ``numerics.shrink_bracket``, the Illinois method.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,18 +154,23 @@ def solve_outlet(
     gas: GasModel,
     consts: DerivedConstants,
     options: SolverOptions | None = None,
+    near: Iterable[FreeSolution] = (),
 ) -> FreeSolution | Nonexistence:
     """Solve for the outlet potential xi so the inlet carries exactly the
     mass flux of the arc, for fixed detachment abscissa zeta.
 
-    On a grid with a coarser level (``_coarser``) the same zeta is first
-    solved there, recursively, and its flow starts one bordered Newton solve
-    at its outlet potential xi_c (``solve_fixed(..., start=, free_xi=True)``;
-    a fixed-xi solve when xi_c == zeta).
-    Its result is returned when it meets the acceptance below.  The coarse
-    answer is only a starting guess: when the coarser level finds no flow,
-    raises, or the solve from its start fails, the path below runs as if
-    there were no coarser level.
+    One start comes first.  ``near`` are flows the caller has already
+    solved on the same grid; from them, the nearest one's field starts one
+    bordered Newton solve (``solve_fixed(..., start=, free_xi=True)``) at
+    xi_a + (xi_b - xi_a)(zeta - zeta_a)/(zeta_b - zeta_a), the secant
+    through the two nearest ones, kept inside (zeta, R0 c_l).  Without
+    them, on a grid with a coarser level (``_coarser``), the same zeta is
+    first solved there, recursively, and its flow starts that solve at its
+    outlet potential xi_c (a fixed-xi solve when xi_c == zeta).
+    Its result is returned when it meets the acceptance below.  A start is
+    only a guess: when there is none, the coarser level finds no flow or
+    raises, or the solve from the start fails, the path below runs as if
+    there had been no start.
 
     Two endpoint shots, fixed-xi solves at xi = zeta and at the cap
     xi = R0 c_l, decide existence (the one at xi = zeta starts from its
@@ -173,7 +185,11 @@ def solve_outlet(
     tolerance, NonconvergenceError is raised (chained from the bordered
     solve's error) naming zeta and the bracket.
     """
-    return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions())
+    options = options or SolverOptions()
+    near = tuple(near)
+    if near:
+        return _solve_outlet(zeta, cfg, gas, consts, options, near=near)
+    return _solve_outlet(zeta, cfg, gas, consts, options)
 
 
 #: The coarsest level of the coarse start.  At 64x32 cells and below a
@@ -192,14 +208,39 @@ def _coarser(options: SolverOptions) -> SolverOptions | None:
     return replace(options, n_phi=n_phi, n_psi=n_psi)
 
 
+def _start(zeta, cfg, gas, consts, options, near):
+    """(xi0, donor field) of the one start of an outlet solve, or None.
+
+    From flows already solved (``near``): the nearest one's field, at xi0 on
+    the secant through the two nearest ones' (zeta, xi), kept inside
+    (zeta, zeta_cap).  Without them: the flow the coarser level solves at
+    this zeta, at its own xi (None when there is no coarser level or it
+    finds no flow).
+    """
+    if near:
+        a, *rest = sorted(near, key=lambda sol: abs(sol.zeta - zeta))
+        xi = a.xi
+        if rest and rest[0].zeta != a.zeta:
+            b = rest[0]
+            xi += (b.xi - a.xi) * (zeta - a.zeta) / (b.zeta - a.zeta)
+        return _inside(xi, zeta, consts.zeta_cap), a.field
+    coarser = _coarser(options)
+    if coarser is None:
+        return None
+    sol = _solve_outlet(zeta, cfg, gas, consts, coarser)
+    return (sol.xi, sol.field) if isinstance(sol, FreeSolution) else None
+
+
 def _solve_outlet(
-    zeta, cfg, gas, consts, options, cap_field=None
+    zeta, cfg, gas, consts, options, cap_field=None, near=()
 ) -> FreeSolution | Nonexistence:
     """``solve_outlet`` on one level; calls itself for the coarser level.
 
     ``cap_field`` is a cap shot (xi = R0 c_l) already solved at this zeta on
     this grid; when given, the endpoint path takes it and its defect in place
     of solving the cap shot again.  The coarser level does not get it.
+    ``near`` are solved flows that give the start in place of the coarser
+    level (``_start``).
     """
     shoot_tol = shoot_tolerance(cfg)
     cap = consts.zeta_cap
@@ -218,16 +259,15 @@ def _solve_outlet(
         field = solve_fixed(zeta, xi, cfg, gas, consts, options, start=donor, free_xi=free_xi)
         return field, inlet_defect(field, gas, cfg)
 
-    coarser = _coarser(options)
-    if coarser is not None:
-        try:
-            start = _solve_outlet(zeta, cfg, gas, consts, coarser)
-            if isinstance(start, FreeSolution):
-                field, d = shoot(start.xi, start.field, free_xi=start.xi > zeta)
-                if abs(d) <= shoot_tol:
-                    return _finish(field, zeta, field.grid.xi, d, cfg)
-        except (NonconvergenceError, SingularSystemError, ConstraintError):
-            pass
+    try:
+        start = _start(zeta, cfg, gas, consts, options, near)
+        if start is not None:
+            xi0, donor = start
+            field, d = shoot(xi0, donor, free_xi=xi0 > zeta)
+            if abs(d) <= shoot_tol:
+                return _finish(field, zeta, field.grid.xi, d, cfg)
+    except (NonconvergenceError, SingularSystemError, ConstraintError):
+        pass
 
     lo = zeta
     field_lo, d_lo = shoot(lo)
@@ -287,9 +327,12 @@ def _solve_outlet(
 
 
 def _secant_point(lo, d_lo, hi, d_hi):
-    """Secant root of the defect on [lo, hi], kept 1e-6 of the width inside
-    the bracket."""
-    x = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+    """Secant root of the defect on [lo, hi], kept inside the bracket."""
+    return _inside(lo - d_lo * (hi - lo) / (d_hi - d_lo), lo, hi)
+
+
+def _inside(x, lo, hi):
+    """x kept 1e-6 of the width inside (lo, hi)."""
     width = hi - lo
     return min(max(x, lo + 1e-6 * width), hi - 1e-6 * width)
 
@@ -411,7 +454,9 @@ def match_R(
     ``zs`` is the minimal-detachment search for this configuration when the
     caller already ran it; its solved endpoints bracket the match.  Inside
     that bracket ``numerics.shrink_bracket`` runs one ``solve_outlet`` per
-    step until |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``).
+    step until |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``), each
+    given every flow solved so far (``near``), so a probe starts from its
+    two nearest neighbours on the family rather than from the coarser level.
     """
     options = options or SolverOptions()
     if not R > 0.0:
@@ -478,7 +523,7 @@ def match_R(
     sols = {z_lo: sol_lo, consts.zeta_hat: sol_hi}
 
     def G(z):
-        sol = solve_outlet(z, cfg, gas, consts, options)
+        sol = solve_outlet(z, cfg, gas, consts, options, near=sols.values())
         if not isinstance(sol, FreeSolution):
             return -math.inf
         sols[z] = sol

@@ -572,6 +572,86 @@ def test_match_R_steps_past_an_unsolvable_pocket(gas, cfg, consts, opts64):
     assert sol.zeta > probes[0]
 
 
+def _match_case(gas, cfg, consts, opts, tight):
+    """(cfg, consts, zs, R) of a radius inside the window: the desk config,
+    or the tight one (zeta_star > 0)."""
+    if tight:
+        cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+        consts = js.derive_constants(gas, cfg)
+    zs = js.find_zeta_star(cfg, gas, consts, opts)
+    return cfg, consts, zs, 0.5 * (consts.R_hat + zs.at_star.r_equiv)
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_match_R_warm_answer_equals_a_cold_solve(gas, cfg, consts, opts64, tight):
+    # Each probe starts from the flows already solved; the flow it returns
+    # is the one a cold solve_outlet finds at the same zeta.
+    cfg, consts, zs, R = _match_case(gas, cfg, consts, opts64, tight)
+    sol = js.match_R(R, cfg, gas, consts, opts64, zs=zs)
+    cold = js.solve_outlet(sol.zeta, cfg, gas, consts, opts64)
+    assert isinstance(cold, js.FreeSolution)
+    assert abs(cold.xi - sol.xi) <= 1e-12 * sol.xi
+    assert abs(cold.wall_length - (cfg.R0 - R)) <= freebnd._MATCH_TOL
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_failed_neighbour_start_falls_back_to_the_endpoint_shots(
+    gas, cfg, consts, opts64, tight
+):
+    # A solve started from a neighbour's field that fails only costs its
+    # start: the endpoint shots and the bordered solve give the same flow.
+    cfg, consts, zs, R = _match_case(gas, cfg, consts, opts64, tight)
+    ref = js.match_R(R, cfg, gas, consts, opts64, zs=zs)
+    real_outlet, real_fixed = freebnd.solve_outlet, freebnd.solve_fixed
+    donors, planted, at_zeta = set(), [], []
+
+    def outlet(zeta, *args, near=(), **kwargs):
+        near = tuple(near)
+        donors.update(id(sol.field) for sol in near)
+        return real_outlet(zeta, *args, near=near, **kwargs)
+
+    def fixed(zeta, xi, *args, start=None, **kwargs):
+        if id(start) in donors:
+            planted.append(zeta)
+            raise errors.NonconvergenceError("planted")
+        at_zeta.append(xi == zeta)
+        return real_fixed(zeta, xi, *args, start=start, **kwargs)
+
+    with mock.patch.object(freebnd, "solve_outlet", outlet), mock.patch.object(
+        freebnd, "solve_fixed", fixed
+    ):
+        sol = js.match_R(R, cfg, gas, consts, opts64, zs=zs)
+    assert planted and sum(at_zeta) >= len(planted)  # every probe shot at xi = zeta
+    assert abs(sol.zeta - ref.zeta) <= 1e-12 * consts.zeta_hat
+    assert abs(sol.xi - ref.xi) <= 1e-12 * ref.xi
+    assert abs(sol.wall_length - (cfg.R0 - R)) <= freebnd._MATCH_TOL
+
+
+def test_match_R_interior_probes_take_no_cap_shot(gas, cfg, consts, opts64):
+    # From the second interior probe on, the start from the two nearest
+    # solved flows converges, so no probe solves the cap grid again.
+    cfg, consts, zs, R = _match_case(gas, cfg, consts, opts64, tight=False)
+    real_outlet, real_fixed = freebnd.solve_outlet, freebnd.solve_fixed
+    probes = []
+
+    def outlet(zeta, *args, **kwargs):
+        probes.append([])
+        return real_outlet(zeta, *args, **kwargs)
+
+    def fixed(zeta, xi, *args, **kwargs):
+        probes[-1].append(xi)
+        return real_fixed(zeta, xi, *args, **kwargs)
+
+    with mock.patch.object(freebnd, "solve_outlet", outlet), mock.patch.object(
+        freebnd, "solve_fixed", fixed
+    ):
+        js.match_R(R, cfg, gas, consts, opts64, zs=zs)
+    # The desk config is floor-limited: the first probe is zeta_hat's flow.
+    interior = probes[1:]
+    assert len(interior) >= 3
+    assert all(consts.zeta_cap not in xis for xis in interior[1:])
+
+
 def test_match_R_symmetric_endpoint(gas, cfg, consts, opts64):
     sol = js.match_R(od.R_HAT, cfg, gas, consts, opts64)
     assert abs(sol.zeta - consts.zeta_hat) <= 1e-3
