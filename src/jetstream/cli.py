@@ -397,7 +397,13 @@ def cmd_classify(args) -> int:
     result = classify_radius(rc.R, rc.flow, gas, consts, rc.options)
     timings = {"classify": time.perf_counter() - t0}
     summary = _base_summary("classify", rc, consts)
-    summary.update(radius=rc.R, verdict=result.verdict, r_hat=result.r_hat, r_star=result.r_star)
+    summary.update(
+        radius=rc.R,
+        verdict=result.verdict,
+        r_hat=result.r_hat,
+        r_star=result.r_star,
+        zeta_star_probes=result.zeta_star_probes,
+    )
     if result.verdict == "EXISTS":
         summary.update(zeta=result.zeta, xi=result.xi, wall_length=result.wall_length)
     _emit_summary(summary, timings, out)

@@ -112,6 +112,16 @@ current iterate (g = dr/dxi on the current grid, c from the current inlet)
 with the last factorization and moves by y + dxi z; when the xi step is not
 available it is not tried and the solve refactors.  The "xi step is
 refused" failure is only declared after a freshly factorized step.
+
+Sensitivity in zeta (``zeta_tangent``): at held cell counts and fixed xi the
+nodes also move with zeta at known rates (``Grid.dh_dzeta``), so
+dr/dzeta is the net flux through the conductances' zeta-rates, formed by
+the same helper as dr/dxi.  Differentiating r(Q, zeta) = 0 gives
+dQ/dzeta = M^-1 dr/dzeta, M factored and certified afresh at the converged
+field, and the inlet defect's slope c . dQ/dzeta.  The minimal-detachment
+search steps by Newton on that slope, and a ``ZetaTangent`` start advances
+its flow along dQ/dzeta to the zeta being solved.  A solve that does not
+ask for either forms no rate of the conductances.
 """
 
 from __future__ import annotations
@@ -141,10 +151,11 @@ class Grid:
     phi_nodes has zeta pinned at ``zeta_index``; each of [0, zeta] and
     [zeta, xi] is uniform, or the coarser one is graded away from zeta
     (``build_grid``).  The phi cell counts are fixed by zeta alone, so grids
-    of one zeta differ only in where their nodes sit; ``dh_dxi`` is the rate
-    at which each phi cell's width moves with xi (None for the symmetric
-    geometry zeta == xi, which puts zeta_index at the outlet column).
-    psi_nodes is uniform.
+    of one zeta differ only in where their nodes sit; ``dh_dxi`` and
+    ``dh_dzeta`` are the rates at which each phi cell's width moves with xi
+    and with zeta at these counts (None for the symmetric geometry
+    zeta == xi, which puts zeta_index at the outlet column).  psi_nodes is
+    uniform.
     """
 
     zeta: float
@@ -154,6 +165,7 @@ class Grid:
     psi_nodes: np.ndarray
     zeta_index: int
     dh_dxi: np.ndarray | None
+    dh_dzeta: np.ndarray | None
 
     @property
     def n_phi(self) -> int:
@@ -177,6 +189,18 @@ class SpeedField:
     residual_norm: float
     newton_iters: int
     back_solves: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class ZetaTangent:
+    """The derivative in zeta of the fixed-xi flow family through a solved
+    field, at that field's xi and cell counts (``zeta_tangent``): ``dQ`` is
+    dQ/dzeta on every node of its grid (0 on the Dirichlet nodes) and
+    ``slope`` the inlet defect's d D/d zeta."""
+
+    field: SpeedField
+    dQ: np.ndarray
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -259,13 +283,15 @@ def _split(zeta: float, n_phi: int, consts: DerivedConstants) -> tuple:
 
 def _phi_nodes(zeta: float, xi: float, n_phi: int, split: tuple):
     """phi nodes for a split (``_split``), zeta's node index, and
-    d(cell width)/d xi with the cell counts held fixed.
+    d(cell width)/d xi and d(cell width)/d zeta with the cell counts held
+    fixed (the other of xi and zeta held too).
 
     The width rates are exact for this parametrization: uniform cells on
-    [zeta, xi] grow as 1/n2; graded cells on the right keep their geometric
-    run and the uniform tail absorbs the change; graded cells on the left
-    scale with their first width 2 (xi - zeta)/n2 and the tail shrinks so
-    [0, zeta] keeps its length.
+    [0, zeta] grow as 1/n1 with zeta, uniform cells on [zeta, xi] as 1/n2
+    with xi - zeta; graded cells on the right keep their geometric run, which
+    scales with its first width 2 zeta/n1, and the uniform tail absorbs the
+    change; graded cells on the left scale with their first width
+    2 (xi - zeta)/n2 and the tail keeps [0, zeta] at its length.
     """
     n1, n2, side, count = split
     ratio = 1.0 + 8.0 / n_phi
@@ -275,23 +301,32 @@ def _phi_nodes(zeta: float, xi: float, n_phi: int, split: tuple):
         right = zeta + np.concatenate([[0.0], np.cumsum(widths)])
         right[-1] = xi
         left = np.linspace(0.0, zeta, n1 + 1)
+        grow = widths[:j] / zeta
         rate_r = np.where(np.arange(count) >= j, 1.0 / (count - j), 0.0)
-        rate_l = np.zeros(n1)
+        zrate_r = np.concatenate([grow, np.full(count - j, -(1.0 + grow.sum()) / (count - j))])
+        rate_l, zrate_l = np.zeros(n1), np.full(n1, 1.0 / n1)
     elif side == "left":
         widths, j = _graded(zeta, count, 2.0 * (L / n2), ratio)
         left = (zeta - np.concatenate([[0.0], np.cumsum(widths)]))[::-1]
         left[0] = 0.0
         right = np.linspace(zeta, xi, n2 + 1)
         grow = widths[:j] / L
-        tail = np.full(count - j, -grow.sum() / (count - j))
-        rate_l = np.concatenate([grow, tail])[::-1]
-        rate_r = np.full(n2, 1.0 / n2)
+        tail = np.full(count - j, grow.sum() / (count - j))
+        rate_l = np.concatenate([grow, -tail])[::-1]
+        zrate_l = np.concatenate([-grow, tail + 1.0 / (count - j)])[::-1]
+        rate_r, zrate_r = np.full(n2, 1.0 / n2), np.full(n2, -1.0 / n2)
     else:
         left = np.linspace(0.0, zeta, n1 + 1)
         right = np.linspace(zeta, xi, n2 + 1)
         rate_l, rate_r = np.zeros(n1), np.full(n2, 1.0 / n2)
+        zrate_l, zrate_r = np.full(n1, 1.0 / n1), np.full(n2, -1.0 / n2)
     phi_nodes = np.concatenate([left, right[1:]])
-    return phi_nodes, len(left) - 1, np.concatenate([rate_l, rate_r])
+    return (
+        phi_nodes,
+        len(left) - 1,
+        np.concatenate([rate_l, rate_r]),
+        np.concatenate([zrate_l, zrate_r]),
+    )
 
 
 def build_grid(
@@ -334,9 +369,9 @@ def build_grid(
     psi_nodes = np.linspace(0.0, m, n_psi + 1)
     if xi - zeta <= 1e-14 * xi:
         phi_nodes = np.linspace(0.0, xi, n_phi + 1)
-        return Grid(zeta, xi, m, phi_nodes, psi_nodes, n_phi, None)
-    phi_nodes, iz, dh_dxi = _phi_nodes(zeta, xi, n_phi, _split(zeta, n_phi, consts))
-    return Grid(zeta, xi, m, phi_nodes, psi_nodes, iz, dh_dxi)
+        return Grid(zeta, xi, m, phi_nodes, psi_nodes, n_phi, None, None)
+    phi_nodes, iz, dh_dxi, dh_dzeta = _phi_nodes(zeta, xi, n_phi, _split(zeta, n_phi, consts))
+    return Grid(zeta, xi, m, phi_nodes, psi_nodes, iz, dh_dxi, dh_dzeta)
 
 
 class _Operator:
@@ -345,11 +380,11 @@ class _Operator:
 
     - the face conductances ``c = (cE, cW, cN, cS)`` of each free node's
       cell, cE = dpsi/h_E, cW = dpsi/h_W and cN = cS = dphi/k (dpsi and dphi
-      the cell's extents), 0 on an inlet, axis or top face, and their
-      xi-rates ``dc_dxi`` (None on the symmetric grid);
+      the cell's extents), 0 on an inlet, axis or top face;
     - the residual, the net face flux (``_net_flux``) less dpsi G(Q) on the
-      inlet rows, and its xi derivative ``dr_dxi``, the net flux through
-      ``dc_dxi``;
+      inlet rows, and its derivatives ``dr_dxi`` and ``dr_dzeta`` at held
+      cell counts, the net flux through the conductances' rates
+      (``_rates``), formed only when asked for;
     - the certified Newton matrix M = -J: diagonal cE + cW + (cN + cS) F'_C,
       less dpsi/(R0 q) on the inlet rows, off-diagonal entries -cE, -cW,
       -cN F'_N and -cS F'_S;
@@ -423,7 +458,7 @@ class _Operator:
 
     def _set_phi(self, grid):
         """Everything that depends on the phi node positions: the cell
-        extents, the conductances and their xi-rates, and ``tol``."""
+        extents, the conductances and ``tol``."""
         self.grid = grid
         ii, inner = self.ii, ~self.at_inlet
         h = np.diff(grid.phi_nodes)
@@ -435,16 +470,7 @@ class _Operator:
         cW = np.where(inner, self.dpsi / hW, 0.0)
         cT = self.dphi / self.k
         self.c = (cE, cW, cT * self.has_N, cT * self.has_S)
-        self.dc_dxi = None
-        if grid.dh_dxi is not None:
-            dh = grid.dh_dxi
-            dcT = 0.5 * (np.where(inner, dh[ii - 1], 0.0) + dh[ii]) / self.k
-            self.dc_dxi = (
-                -cE * dh[ii] / hE,
-                -cW * dh[ii - 1] / hW,
-                dcT * self.has_N,
-                dcT * self.has_S,
-            )
+        self.hE, self.hW = hE, hW
         # Density-norm rows divide second differences by cell spacings, so
         # assembly roundoff is amplified by 1/h^2; the constant covers the
         # row-term count and observed cancellation on extreme-aspect grids.
@@ -490,11 +516,29 @@ class _Operator:
         r[self.at_inlet] -= self.dpsi[self.at_inlet] * G
         return r
 
+    def _rates(self, dh):
+        """The conductances' rates when the phi cell widths move at the
+        rates ``dh`` (``Grid.dh_dxi`` or ``Grid.dh_dzeta``)."""
+        ii, inner = self.ii, ~self.at_inlet
+        cE, cW, _, _ = self.c
+        dcT = 0.5 * (np.where(inner, dh[ii - 1], 0.0) + dh[ii]) / self.k
+        return (
+            -cE * dh[ii] / self.hE,
+            -cW * dh[ii - 1] / self.hW,
+            dcT * self.has_N,
+            dcT * self.has_S,
+        )
+
     def dr_dxi(self, Qfull, F):
         """d(residual)/d xi at fixed nodal values Q (and F = F(Q)), with the
         grid's cell counts held fixed: the net flux through conductances
         moving at their xi-rates (the inlet flux does not depend on xi)."""
-        return self._net_flux(self.dc_dxi, Qfull, F)
+        return self._net_flux(self._rates(self.grid.dh_dxi), Qfull, F)
+
+    def dr_dzeta(self, Qfull, F):
+        """d(residual)/d zeta at fixed nodal values Q (and F = F(Q)) and
+        fixed xi, with the grid's cell counts held fixed, like ``dr_dxi``."""
+        return self._net_flux(self._rates(self.grid.dh_dzeta), Qfull, F)
 
     def density_norm(self, r):
         return float(np.max(np.abs(r) / self.cell))
@@ -813,13 +857,17 @@ def solve_fixed(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
     *,
-    start: SpeedField | None = None,
+    start: SpeedField | ZetaTangent | None = None,
     free_xi: bool = False,
 ) -> SpeedField:
     """Solve the fixed-(zeta, xi) stream problem on a fresh grid.
 
     The initial iterate is the field ``start``, a solved flow on any grid,
-    carried onto this grid by ``interp_onto``; without one it is
+    carried onto this grid by ``interp_onto``.  A ``ZetaTangent`` start is
+    first advanced along its tangent: Q + (zeta - zeta_0) dQ/dzeta on its
+    flow's cell counts stretched to this zeta (the flow as it is when those
+    counts cannot fill that grid), a first-order prediction that is already
+    on this grid when the counts at zeta are the same.  Without a start it is
     ``_Operator.subsolution``: at xi = zeta the discrete solution, returned
     with ``newton_iters`` = ``back_solves`` = 0, and otherwise the linear
     subsolution Q0 = A(c_e) - (xi - phi) / (R0 c_l rho(c_l^2)).  The
@@ -841,7 +889,12 @@ def solve_fixed(
     options = options or SolverOptions()
     grid = build_grid(zeta, xi, cfg.m, options.n_phi, options.n_psi, consts)
     op = _Operator(grid, gas, cfg, consts)
-    Q0 = op.subsolution() if start is None else interp_onto(grid, start.grid, start.Q)
+    if start is None:
+        Q0 = op.subsolution()
+    elif isinstance(start, ZetaTangent):
+        Q0 = interp_onto(grid, *_advanced(start, zeta, options.n_phi, consts))
+    else:
+        Q0 = interp_onto(grid, start.grid, start.Q)
     regrid = None
     if free_xi:
         regrid = lambda x: build_grid(zeta, x, cfg.m, options.n_phi, options.n_psi, consts)
@@ -860,6 +913,49 @@ def solve_fixed(
     )
     require(field_checks(field, consts))
     return field
+
+
+def _advanced(tangent: ZetaTangent, zeta: float, n_phi: int, consts: DerivedConstants):
+    """(grid, Q) of the tangent's flow advanced to ``zeta`` at its xi: its
+    cell counts (those ``build_grid`` gives its zeta for ``n_phi``)
+    stretched to zeta, and Q + (zeta - zeta_0) dQ/dzeta on their nodes.  The
+    flow's own grid and Q when those counts cannot fill that grid or are not
+    the flow's."""
+    src = tangent.field.grid
+    try:
+        phi, iz, dh_dxi, dh_dzeta = _phi_nodes(
+            zeta, src.xi, n_phi, _split(src.zeta, n_phi, consts)
+        )
+    except ConstraintError:  # the graded run cannot fill the stretched segment
+        return src, tangent.field.Q
+    if (len(phi), iz) != (len(src.phi_nodes), src.zeta_index):
+        return src, tangent.field.Q
+    grid = Grid(zeta, src.xi, src.m, phi, src.psi_nodes, iz, dh_dxi, dh_dzeta)
+    return grid, tangent.field.Q + (zeta - src.zeta) * tangent.dQ
+
+
+def zeta_tangent(
+    field: SpeedField, gas: GasModel, cfg: FlowConfig, consts: DerivedConstants
+) -> ZetaTangent:
+    """The zeta-derivative of the fixed-xi flow family through ``field``, a
+    solved flow with zeta < xi, at its xi and cell counts.
+
+    Differentiating r(Q, zeta) = 0 gives dQ/dzeta = M^-1 dr/dzeta with
+    M = -J the Newton matrix, assembled, certified and factored here at the
+    field itself (the solve's last factorization lags the converged field
+    and would bias the slope), and dr/dzeta the net flux through the
+    conductances' zeta-rates (``Grid.dh_dzeta``).  The defect's slope is
+    c . dQ/dzeta, c its gradient on the inlet column.  Both are exact for
+    the discrete problem between the zetas where ``build_grid``'s cell
+    counts change; across such a zeta the defect jumps.
+    """
+    op = _Operator(field.grid, gas, cfg, consts)
+    q0 = op.inlet_speeds(field.Q)
+    system = op.newton_matrix(field.Q, q0)
+    y = numerics.solve_banded(system, op.dr_dzeta(field.Q, gas.fast_F_of_A(field.Q)))
+    dQ = np.zeros_like(field.Q)
+    dQ[op.free] = y
+    return ZetaTangent(field, dQ, op.defect_dot(q0, y))
 
 
 def assemble_residual(field: SpeedField, gas: GasModel, cfg: FlowConfig) -> np.ndarray:

@@ -35,12 +35,14 @@ is only a guess: every ``Nonexistence`` verdict comes from the endpoint
 shots on the requested grid, which run whenever the start does not give a
 flow.
 
-``find_zeta_star`` locates the smallest solvable zeta, deciding each probe
-by one fixed-xi shot at the cap, ``match_R`` picks zeta so the wetted wall
-has length R0 - R (matching a nozzle of radius R), each probe started from
-the flows solved before it, and ``sweep_zeta`` tabulates the family, each
-rung solved cold.  Both searches narrow a sign-change bracket with
-``numerics.shrink_bracket``, the Illinois method.
+``find_zeta_star`` locates the edge of the solvable zetas, deciding each
+probe by one fixed-xi shot at the cap and stepping by Newton in zeta on
+each shot's exact zeta-slope (``fixedbvp.zeta_tangent``), ``match_R``
+picks zeta so the wetted wall has length R0 - R (matching a nozzle of
+radius R), each probe started from the flows solved before it, and
+``sweep_zeta`` tabulates the family, each rung solved cold.  Both searches
+narrow a sign-change bracket with ``numerics.shrink_bracket``: the
+Illinois method, with safeguarded Newton steps where a slope is given.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .fixedbvp import (
     inlet_defect,
     shoot_tolerance,
     solve_fixed,
+    zeta_tangent,
 )
 from .gasdyn import DerivedConstants, FlowConfig, GasModel
 
@@ -99,22 +102,27 @@ class ZetaStarResult:
     floor_limited means the search floor itself was solvable, so zeta_star
     is reported as 0.0.  ``at_star`` is the solved flow at zeta_star (the
     floor when floor-limited), ``at_hat`` the one at zeta_hat when the
-    search probed it (None when floor-limited).
+    search probed it (None when floor-limited).  ``cap_shots`` counts the
+    search's cap shots, its two ends included (1 when floor-limited).
     """
 
     zeta_star: float
     floor_limited: bool
     at_star: FreeSolution
     at_hat: FreeSolution | None
+    cap_shots: int
 
 
 @dataclass(frozen=True)
 class ClassifyResult:
-    """Existence verdict for a requested nozzle radius."""
+    """Existence verdict for a requested nozzle radius;
+    ``zeta_star_probes`` is the minimal-detachment search's cap-shot count
+    (``ZetaStarResult.cap_shots``)."""
 
     verdict: str  # "EXISTS" | "NO_SOLUTION_LONG" | "NO_SOLUTION_SHORT"
     r_hat: float
     r_star: float
+    zeta_star_probes: int
     zeta: float | None = None
     xi: float | None = None
     wall_length: float | None = None
@@ -238,7 +246,11 @@ def _solve_outlet(
 
     ``cap_field`` is a cap shot (xi = R0 c_l) already solved at this zeta on
     this grid; when given, the endpoint path takes it and its defect in place
-    of solving the cap shot again.  The coarser level does not get it.
+    of solving the cap shot again, and no start is tried: the coarse start
+    would first repeat the cap shot on every coarser level, where the
+    endpoint path adds only the closed-form shot at xi = zeta and one
+    bordered solve (the tight config's search at 256x128: 21 -> 16
+    factorizations).
     ``near`` are solved flows that give the start in place of the coarser
     level (``_start``).
     """
@@ -260,7 +272,7 @@ def _solve_outlet(
         return field, inlet_defect(field, gas, cfg)
 
     try:
-        start = _start(zeta, cfg, gas, consts, options, near)
+        start = None if cap_field is not None else _start(zeta, cfg, gas, consts, options, near)
         if start is not None:
             xi0, donor = start
             field, d = shoot(xi0, donor, free_xi=xi0 > zeta)
@@ -352,21 +364,35 @@ def find_zeta_star(
     consts: DerivedConstants,
     options: SolverOptions | None = None,
 ) -> ZetaStarResult:
-    """Find the smallest detachment abscissa that still admits a flow.
+    """Find the smallest detachment abscissa that still admits a flow, to a
+    bracket of width 1e-5 zeta_hat.
 
     One fixed-xi shot at the outlet cap decides each probe: the inlet
     defect increases in xi, so zeta is solvable exactly when the cap shot's
     defect d satisfies g(zeta) = d + shoot_tol >= 0, which is
-    ``solve_outlet``'s verdict on the same grid.  g increases in zeta, and
-    ``numerics.shrink_bracket`` (the Illinois method) narrows its sign
-    change on [floor, zeta_hat] to a width of 1e-5 zeta_hat (``_ZETA_TOL``),
-    each cap shot started from the cap field of the nearer bracket end (the
-    cap shot at zeta_hat from the flow solved there).  zeta_star is the
-    final bracket's solvable end.  ``at_star``, the flow there, is
-    ``solve_outlet``'s on the same grid with the search's own cap shot at
-    zeta_star standing in for its endpoint shot at the cap, so the verdict
-    and the flow come from one computation; should no flow come out,
-    NonconvergenceError is raised.
+    ``solve_outlet``'s verdict on the same grid.  g increases in zeta and is
+    smooth and convex between the zetas where ``build_grid``'s cell counts
+    change, but it can drop across such a zeta, so it may change sign more
+    than once: what the search guarantees is a bracket of width 1e-5
+    zeta_hat (``_ZETA_TOL``) whose lower end reads unsolvable and whose
+    upper end reads solvable, not the smallest solvable zeta.
+    ``numerics.shrink_bracket`` narrows the sign change on [floor,
+    zeta_hat].  Its probes are Newton steps on g'(zeta), the exact slope of
+    the latest cap shot (``fixedbvp.zeta_tangent``: one more certified
+    factorization at the converged field, made only when another probe
+    follows; the first from the cap shot at zeta_hat), and Illinois points
+    where a Newton point leaves the bracket.  Each cap shot starts from the
+    nearest solved cap field advanced along its tangent,
+    Q + (zeta - zeta_0) dQ/dzeta (the plain field when it has no tangent;
+    the cap shot at zeta_hat from the flow solved there).  A cap-bound
+    search on classify-cold's configs makes 6-7 cap shots, its ends
+    included, where the Illinois search made 10.
+
+    zeta_star is the final bracket's solvable end.  ``at_star``, the flow
+    there, is ``solve_outlet``'s endpoint path on the same grid with the
+    search's own cap shot at zeta_star standing in for its endpoint shot at
+    the cap (no coarse start), so the verdict and the flow come from one
+    computation; should no flow come out, NonconvergenceError is raised.
 
     The search floor is 1e-3 zeta_hat (``_FLOOR``): if even the floor's cap
     shot reads solvable the result is reported as zeta_star = 0.0 with
@@ -375,20 +401,30 @@ def find_zeta_star(
     floor, built from the floor's cap shot the same way.  Every call runs
     the search afresh; the result carries the flows at the lower end and at
     zeta_hat so that callers (``match_R``, ``classify_radius``) reuse them
-    instead of solving them again.
+    instead of solving them again, and the number of cap shots it made.
     """
     options = options or SolverOptions()
     floor = _FLOOR * consts.zeta_hat
     shoot_tol = shoot_tolerance(cfg)
     cap = consts.zeta_cap
-    cap_fields = {}
+    cap_fields, tangents = {}, {}
 
     def cap_shot(zeta, donor=None):
         if donor is None and cap_fields:
-            donor = cap_fields[min(cap_fields, key=lambda z: abs(z - zeta))]
+            near = min(cap_fields, key=lambda z: abs(z - zeta))
+            donor = tangents.get(near, cap_fields[near])
         field = solve_fixed(zeta, cap, cfg, gas, consts, options, start=donor)
         cap_fields[zeta] = field
         return inlet_defect(field, gas, cfg) + shoot_tol
+
+    def slope(zeta):
+        # g'(zeta) of a cap shot, from a fresh certified factorization at
+        # its field; a certificate that fails leaves the probe without one.
+        try:
+            tangents[zeta] = zeta_tangent(cap_fields[zeta], gas, cfg, consts)
+        except SingularSystemError:
+            return None
+        return tangents[zeta].slope
 
     def at(zeta):
         # The flow at a probe its cap shot read solvable, from that cap shot.
@@ -403,7 +439,7 @@ def find_zeta_star(
     g_floor = cap_shot(floor)
     if g_floor >= 0.0:
         return ZetaStarResult(
-            zeta_star=0.0, floor_limited=True, at_star=at(floor), at_hat=None
+            zeta_star=0.0, floor_limited=True, at_star=at(floor), at_hat=None, cap_shots=1
         )
     sol_hat = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
     if not isinstance(sol_hat, FreeSolution):
@@ -416,6 +452,7 @@ def find_zeta_star(
         cap_shot,
         numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat),
         _ZETA_TOL * consts.zeta_hat,
+        slope=slope,
     )
     if br.hi >= consts.zeta_hat:
         raise NonconvergenceError(
@@ -424,7 +461,11 @@ def find_zeta_star(
             "zeta_star < zeta_hat"
         )
     return ZetaStarResult(
-        zeta_star=br.hi, floor_limited=False, at_star=at(br.hi), at_hat=sol_hat
+        zeta_star=br.hi,
+        floor_limited=False,
+        at_star=at(br.hi),
+        at_hat=sol_hat,
+        cap_shots=len(cap_fields),
     )
 
 
@@ -557,16 +598,18 @@ def classify_radius(
     short (R above every achievable equivalent radius, R >= R0 included).
     ``match_R`` holds the radius precondition."""
     zs = find_zeta_star(cfg, gas, consts, options)
+    probes = zs.cap_shots
     try:
         sol = match_R(R, cfg, gas, consts, options, zs=zs)
     except LongNozzleError as err:
-        return ClassifyResult("NO_SOLUTION_LONG", r_hat=err.r_hat, r_star=err.r_star)
+        return ClassifyResult("NO_SOLUTION_LONG", err.r_hat, err.r_star, probes)
     except ShortNozzleError as err:
-        return ClassifyResult("NO_SOLUTION_SHORT", r_hat=err.r_hat, r_star=err.r_star)
+        return ClassifyResult("NO_SOLUTION_SHORT", err.r_hat, err.r_star, probes)
     return ClassifyResult(
         "EXISTS",
         r_hat=consts.R_hat,
         r_star=zs.at_star.r_equiv,
+        zeta_star_probes=probes,
         zeta=sol.zeta,
         xi=sol.xi,
         wall_length=sol.wall_length,

@@ -1,9 +1,10 @@
 """Deterministic numerical kernels.
 
-Bracketed root finding (the Illinois method, the package's one bracketed
-search), adaptive Gauss-Kronrod quadrature (one vectorized integrand call
-per panel), cubic Hermite tables and PCHIP slopes in numpy, banded linear
-solves (LAPACK-backed) with a residual check, and log-log power-law fits.
+Bracketed root finding (the Illinois method, with safeguarded Newton steps
+where the caller knows f's slope: the package's one bracketed search),
+adaptive Gauss-Kronrod quadrature (one vectorized integrand call per
+panel), cubic Hermite tables and PCHIP slopes in numpy, banded linear solves
+(LAPACK-backed) with a residual check, and log-log power-law fits.
 Everything here is deterministic: no randomness, no time-dependent state,
 fixed summation orders.
 
@@ -238,8 +239,11 @@ def _work(l: int, u: int) -> _Work:
     return spaces[l, u]
 
 
-def shrink_bracket(f, bracket: Bracket, tol: float, ftol: float = 0.0) -> Bracket:
-    """Narrow a sign-change bracket of f by the Illinois method.
+def shrink_bracket(
+    f, bracket: Bracket, tol: float, ftol: float = 0.0, slope=None
+) -> Bracket:
+    """Narrow a sign-change bracket of f by the Illinois method, or by
+    Newton steps where f's slope is known.
 
     Each step evaluates f once, near the regula falsi point of the current
     bracket, and replaces the end whose value has the probe's sign.  When
@@ -248,6 +252,16 @@ def shrink_bracket(f, bracket: Bracket, tol: float, ftol: float = 0.0) -> Bracke
     superlinearly where plain regula falsi stagnates (Dowell & Jarratt
     1971).  A non-finite end value (say, -inf for a probe known to lie on
     the negative side without a finite value) gives the midpoint instead.
+
+    ``slope``, when given, maps the latest probe x to f'(x), or to None when
+    it has none; it is called only when another probe follows and both end
+    values are finite, before the first probe for the end where f is
+    positive.  A slope of the bracket's direction (positive when f_hi > 0)
+    whose Newton point x - f(x)/f'(x) lies inside the bracket puts the next
+    probe there (safeguarded Newton); any other case takes the Illinois
+    point above.  On a smooth convex increasing f, Newton from the positive
+    side stays on that side and converges quadratically, where the Illinois
+    point needs more probes.
 
     The probe is moved tol/4 toward the stale end and kept at least tol/4
     inside the bracket.  Once the estimate is good to well under tol, the
@@ -277,14 +291,19 @@ def shrink_bracket(f, bracket: Bracket, tol: float, ftol: float = 0.0) -> Bracke
         )
     # The Illinois weights act on these stored copies; the ends keep the
     # true values for the returned bracket.  ``last`` is -1 (+1) when the
-    # last probe replaced lo (hi), 0 before the first probe.
+    # last probe replaced lo (hi), 0 before the first probe; (x, fx) is the
+    # point the next Newton step starts from.
     g_lo, g_hi, last = f_lo, f_hi, 0
+    x, fx = (lo, f_lo) if f_lo > 0.0 else (hi, f_hi)
     for _ in range(_MAX_ROOT_ITERS):
         if hi - lo <= tol:
             return Bracket(lo, hi, f_lo, f_hi)
         if math.isfinite(g_lo) and math.isfinite(g_hi):
-            x = lo - g_lo * (hi - lo) / (g_hi - g_lo) - 0.25 * tol * last
-            x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
+            s = None if slope is None else slope(x)
+            x_n = x - fx / s if s is not None and s * f_hi > 0.0 else math.nan
+            if not lo < x_n < hi:
+                x_n = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            x = min(max(x_n - 0.25 * tol * last, lo + 0.25 * tol), hi - 0.25 * tol)
         else:
             x = 0.5 * (lo + hi)
         if not lo < x < hi:  # the bracket is down to adjacent floats

@@ -77,8 +77,10 @@ SUMMARY_KEYS = {
         "theta_discrepancy", "theta_estimate", "oracle_max_error",
     ],
     "solve-free no-solution": ["zeta", "status", "reason", "defect", "detail"],
-    "classify EXISTS": ["radius", "verdict", "r_hat", "r_star", "zeta", "xi", "wall_length"],
-    "classify NO_SOLUTION": ["radius", "verdict", "r_hat", "r_star"],
+    "classify EXISTS": [
+        "radius", "verdict", "r_hat", "r_star", "zeta_star_probes", "zeta", "xi", "wall_length",
+    ],
+    "classify NO_SOLUTION": ["radius", "verdict", "r_hat", "r_star", "zeta_star_probes"],
     "sweep": ["rows", "n_ok", "n_no_solution", "n_error", "xi_strictly_decreasing"],
     "physmap": [
         "status", "zeta", "xi", "wall_length", "r_equiv", *FIELD_KEYS, "theta_discrepancy",

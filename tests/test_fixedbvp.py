@@ -281,6 +281,91 @@ def test_dr_dxi_matches_central_difference(gas, cfg, consts, zeta, xi, side):
     assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
 
 
+@pytest.mark.parametrize(
+    "zeta, xi, side",
+    [(0.06, 0.11, None), (0.001, 0.15, "right"), (0.1, 0.1003, "left")],
+    ids=["uniform", "graded-right", "graded-left"],
+)
+def test_phi_nodes_zeta_rates_match_central_difference(consts, zeta, xi, side):
+    # The cell widths at held counts and xi, as a function of zeta, against
+    # the zeta-rates _phi_nodes gives next to the xi-rates.
+    split = fixedbvp._split(zeta, 32, consts)
+    assert split[2] == side
+    phi, iz, _, dh_dzeta = fixedbvp._phi_nodes(zeta, xi, 32, split)
+    h = 1e-7 * zeta
+    moved = [fixedbvp._phi_nodes(z, xi, 32, split)[0] for z in (zeta + h, zeta - h)]
+    fd = (np.diff(moved[0]) - np.diff(moved[1])) / (2.0 * h)
+    assert np.max(np.abs(dh_dzeta - fd)) <= 1e-6 * np.max(np.abs(dh_dzeta))
+    # zeta's node moves at rate 1, the outlet node not at all.
+    assert abs(dh_dzeta[:iz].sum() - 1.0) <= 1e-12 and abs(dh_dzeta.sum()) <= 1e-12
+    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16, consts)
+    assert np.array_equal(grid.dh_dzeta, dh_dzeta)
+
+
+def test_dr_dzeta_matches_central_difference(gas, cfg, consts):
+    # The residual at fixed nodal values and held counts, as a function of
+    # zeta, against the net flux through the conductances' zeta-rates.
+    zeta, xi = 0.06, 0.11
+    split = fixedbvp._split(zeta, 32, consts)
+    grid = js.build_grid(zeta, xi, od.M_FLUX, 32, 16, consts)
+    op = _Operator(grid, gas, cfg, consts)
+    Qfull = _manufactured_Q(gas, grid.phi_nodes, grid.psi_nodes, xi, od.M_FLUX)
+    Qfull[~op.free] = od.A_CE
+    g = op.dr_dzeta(Qfull, gas.fast_F_of_A(Qfull))
+    h = 1e-7 * zeta
+    r = []
+    for z in (zeta + h, zeta - h):
+        phi, iz, dh_dxi, dh_dzeta = fixedbvp._phi_nodes(z, xi, 32, split)
+        moved = fixedbvp.Grid(z, xi, od.M_FLUX, phi, grid.psi_nodes, iz, dh_dxi, dh_dzeta)
+        r.append(op.on(moved).residual(Qfull))
+    fd = (r[0] - r[1]) / (2.0 * h)
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["desk", "tight"])
+def test_zeta_tangent_slope_matches_held_count_difference(gas, cfg, consts, opts64, tight):
+    # g'(zeta) of a cap shot, from the tangent's fresh factorization at the
+    # converged field, against a central difference of the cap defect over
+    # two cap shots whose cell counts are the base shot's.
+    if tight:
+        cfg = TIGHT
+        consts = js.derive_constants(gas, cfg)
+    zeta, cap = (0.9 if tight else 0.5) * consts.zeta_hat, consts.zeta_cap
+    base = js.solve_fixed(zeta, cap, cfg, gas, consts, opts64)
+    tangent = fixedbvp.zeta_tangent(base, gas, cfg, consts)
+    h = 1e-4 * zeta
+    shots = [
+        js.solve_fixed(z, cap, cfg, gas, consts, opts64, start=base) for z in (zeta + h, zeta - h)
+    ]
+    assert all(
+        (s.grid.n_phi, s.grid.zeta_index) == (base.grid.n_phi, base.grid.zeta_index)
+        for s in shots
+    )
+    d = [js.inlet_defect(s, gas, cfg) for s in shots]
+    fd = (d[0] - d[1]) / (2.0 * h)
+    assert tangent.slope > 0.0
+    assert abs(tangent.slope - fd) <= 1e-6 * abs(fd)
+    # dQ/dzeta too: the tangent's first-order prediction of the field at
+    # zeta + h is O(h^2) off, far closer than the field at zeta.
+    grid, predicted = fixedbvp._advanced(tangent, zeta + h, opts64.n_phi, consts)
+    assert np.array_equal(grid.phi_nodes, shots[0].grid.phi_nodes)
+    miss = np.max(np.abs(predicted - shots[0].Q))
+    assert miss <= 1e-3 * np.max(np.abs(base.Q - shots[0].Q))
+
+
+def test_tangent_start_falls_back_to_the_flow_on_other_counts(gas, cfg, consts, opts64):
+    # A tangent whose flow was solved for another n_phi has no counts to
+    # stretch: the start is the flow itself, carried by interpolation.
+    zeta, cap = 0.5 * consts.zeta_hat, consts.zeta_cap
+    base = js.solve_fixed(zeta, cap, cfg, gas, consts, opts64)
+    tangent = fixedbvp.zeta_tangent(base, gas, cfg, consts)
+    grid, Q = fixedbvp._advanced(tangent, 1.01 * zeta, 2 * opts64.n_phi, consts)
+    assert grid is base.grid and Q is base.Q
+    f = js.solve_fixed(1.01 * zeta, cap, cfg, gas, consts, opts64, start=tangent)
+    cold = js.solve_fixed(1.01 * zeta, cap, cfg, gas, consts, opts64)
+    assert np.max(np.abs(f.q - cold.q)) <= 1e-10
+
+
 def test_schur_complement_is_the_defect_slope(gas, cfg, consts, opts64):
     # c.z with z = M^-1 dr/dxi, at a converged fixed-xi field, against the
     # slope of inlet_defect between two solves of the same zeta (so the same

@@ -478,9 +478,9 @@ def test_zeta_star_positive_when_cap_binds(gas):
 
 
 def _final_bracket(cfg, gas, consts, opts):
-    """find_zeta_star's result and the bracket its Illinois search returned
-    (None when the floor's cap shot already read solvable).  Only the search
-    over zeta, whose bracket starts at the floor, is recorded: the cold
+    """find_zeta_star's result and the bracket its search returned (None
+    when the floor's cap shot already read solvable).  Only the search over
+    zeta, whose bracket starts at the floor, is recorded: the cold
     symmetric-grid shots find their inlet roots with the same routine."""
     brackets = []
     shrink = numerics.shrink_bracket
@@ -524,6 +524,48 @@ def test_zeta_star_cap_shots_agree_with_solve_outlet(gas, cfg, consts, opts64, t
         below = js.solve_outlet(zs.zeta_star - zeta_tol, cfg, gas, consts, opts64)
         assert isinstance(below, js.Nonexistence)
         assert below.reason == "outlet-cap-bound"
+
+
+def test_zeta_star_search_counts_its_cap_shots(gas, cfg, consts, opts64):
+    # Newton steps in zeta, each from the latest cap shot's exact slope:
+    # the floor, zeta_hat and at most 5 probes on the tight config, where
+    # the Illinois search took 8 probes.  classify reports the count; a
+    # floor-limited search makes the floor's cap shot only.
+    tight_cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+    tight = js.derive_constants(gas, tight_cfg)
+    with mock.patch.object(freebnd, "solve_fixed", wraps=freebnd.solve_fixed) as fixed:
+        zs = js.find_zeta_star(tight_cfg, gas, tight, opts64)
+    caps = [c for c in fixed.call_args_list
+            if c.args[1] == tight.zeta_cap and not c.kwargs.get("free_xi")]
+    assert zs.cap_shots == len(caps) <= 7
+    res = js.classify_radius(0.9 * tight.R_hat, tight_cfg, gas, tight, opts64)
+    assert (res.verdict, res.zeta_star_probes) == ("NO_SOLUTION_LONG", zs.cap_shots)
+    desk = js.find_zeta_star(cfg, gas, consts, opts64)
+    assert desk.floor_limited and desk.cap_shots == 1
+
+
+def test_cap_defect_is_not_monotone_where_the_cell_counts_jump(gas, opts64):
+    # g(zeta) = cap defect + shoot_tol increases with zeta only between the
+    # zetas where build_grid's cell counts change.  On the tight config at
+    # 64x32 the split moves from (59, 5) to (60, 4) cells between 0.929700
+    # and 0.929750 zeta_hat, and g drops across it from +2.86e-5 to
+    # -7.81e-5: g changes sign twice, near 0.92968 and 0.92982 zeta_hat.
+    # What the search guarantees is a bracket of width <= 1e-5 zeta_hat
+    # whose lower end reads unsolvable and upper end solvable, not the
+    # smallest solvable zeta: the Illinois search returned 0.929678
+    # zeta_hat, the Newton search returns the upper sign change.
+    cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+    consts = js.derive_constants(gas, cfg)
+    zh, tol = consts.zeta_hat, shoot_tolerance(cfg)
+    shots = [js.solve_fixed(f * zh, consts.zeta_cap, cfg, gas, consts, opts64)
+             for f in (0.929700, 0.929750)]
+    assert [s.grid.zeta_index for s in shots] == [59, 60]
+    g = [js.inlet_defect(s, gas, cfg) + tol for s in shots]
+    assert abs(g[0] - 2.86e-5) <= 0.01e-5 and abs(g[1] + 7.81e-5) <= 0.01e-5
+    zs, br = _final_bracket(cfg, gas, consts, opts64)
+    assert br.f_lo < 0.0 <= br.f_hi and br.hi - br.lo <= 1e-5 * zh
+    assert zs.zeta_star == br.hi
+    assert abs(zs.zeta_star / zh - 0.929818) <= 1e-5
 
 
 def test_zeta_star_search_runs_solve_outlet_only_at_zeta_hat(gas):

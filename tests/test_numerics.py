@@ -94,6 +94,68 @@ def test_shrink_bracket_takes_the_midpoint_next_to_an_infinite_end():
     assert len(calls) <= 15
 
 
+def _exp_search(slope=None, tol=1e-12):
+    """shrink_bracket on the convex increasing exp(x) - 2 over [0, 2]: the
+    final bracket, the probes and the points the slope was asked at."""
+    f, calls = _counted(lambda x: math.exp(x) - 2.0)
+    asked = []
+
+    def counted_slope(x):
+        asked.append(x)
+        return slope(x)
+
+    br = numerics.shrink_bracket(
+        f,
+        numerics.Bracket(0.0, 2.0, -1.0, math.exp(2.0) - 2.0),
+        tol,
+        slope=None if slope is None else counted_slope,
+    )
+    return br, calls, asked
+
+
+def test_shrink_bracket_with_slopes_takes_fewer_probes_than_illinois():
+    # Newton from the positive end of a convex increasing f stays on that
+    # side; the tol/4 move puts the last probe across the root.
+    root, tol = math.log(2.0), 1e-12
+    br, calls, asked = _exp_search(math.exp, tol)
+    _, illinois, _ = _exp_search(None, tol)
+    assert len(calls) <= len(illinois) - 3
+    assert br.hi - br.lo <= tol
+    assert br.lo < root < br.hi and br.f_lo < 0.0 < br.f_hi
+    # Asked at the positive end first, then at every probe but the last.
+    assert asked == [2.0] + calls[:-1]
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [lambda x: None, lambda x: 0.0, lambda x: -math.exp(x), lambda x: 1e-30],
+    ids=["missing", "zero", "negative", "newton-point-outside"],
+)
+def test_shrink_bracket_without_a_usable_slope_is_illinois(slope):
+    # A missing or non-positive slope, or a Newton point outside the
+    # bracket, gives the Illinois point, probe for probe.
+    br, calls, asked = _exp_search(slope)
+    ref, illinois, _ = _exp_search(None)
+    assert calls == illinois and br == ref
+    assert len(asked) == len(calls)
+
+
+def test_shrink_bracket_slope_keeps_the_midpoint_next_to_an_infinite_end():
+    # The slope is not asked while an end holds -inf: the midpoint comes
+    # first, as without it.
+    f, calls = _counted(lambda x: x - 0.3)
+    asked = []
+    br = numerics.shrink_bracket(
+        f,
+        numerics.Bracket(0.0, 1.0, -math.inf, 0.7),
+        tol=1e-12,
+        slope=lambda x: asked.append(x) or 1.0,
+    )
+    assert calls[:2] == [0.5, 0.25]
+    assert asked[0] == 0.25
+    assert br.lo < 0.3 < br.hi and br.hi - br.lo <= 1e-12
+
+
 def test_derive_constants_root_evaluations(gas, cfg):
     # derive_constants solves two roots (c_m and c_l); the guarded regula
     # falsi this replaced took 84 evaluations for them on the desk config.

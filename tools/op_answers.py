@@ -10,7 +10,8 @@ per op:
   and ``r_equiv`` for free-fine; ``summary.kv``'s xi and ``wall_length``
   for physmap-cli;
 - the number of ``numerics.solve_banded`` (factorization) and
-  ``numerics.back_solve`` calls the op made;
+  ``numerics.back_solve`` calls the op made, and its cap shots: the
+  ``solve_fixed`` calls at the outlet cap xi = R0 c_l without ``free_xi``;
 - the workload's own output check (null when it passes).
 
 Run from the root of a source checkout; the solver and the workloads are
@@ -22,7 +23,8 @@ script records any checkout:
     python tools/op_answers.py --compare before.json after.json
 
 ``--compare`` prints the verdict and check mismatches, the largest relative
-difference of each answer field, and the ops whose counts differ.  It exits
+difference of each answer field, the ops whose counts (factorizations,
+back-solves or cap shots) differ, and the totals of each count.  It exits
 1 on a verdict or check mismatch, else 0.  It is a report, not a test: 18
 classify-cold ops take ~3 s, 4 free-fine ops ~10 s.
 """
@@ -40,6 +42,9 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+#: The per-op counts, in output order.
+COUNTS = ("solve_banded", "back_solve", "cap_shots")
 
 #: Answer fields per workload, in output order.
 FIELDS = {
@@ -76,9 +81,9 @@ def record(name: str, seed: int, ops: int) -> dict:
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from jetstream import numerics
+    from jetstream import fixedbvp, freebnd, numerics
 
-    counts = {"solve_banded": 0, "back_solve": 0}
+    counts = {key: 0 for key in COUNTS}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -87,8 +92,17 @@ def record(name: str, seed: int, ops: int) -> dict:
 
         return wrapper
 
-    for key in counts:
+    for key in ("solve_banded", "back_solve"):
         setattr(numerics, key, counted(key, getattr(numerics, key)))
+    solve_fixed = fixedbvp.solve_fixed
+
+    def shot(zeta, xi, cfg, gas, consts, *args, **kwargs):
+        if xi == consts.zeta_cap and not kwargs.get("free_xi"):
+            counts["cap_shots"] += 1
+        return solve_fixed(zeta, xi, cfg, gas, consts, *args, **kwargs)
+
+    for module in (fixedbvp, freebnd):
+        module.solve_fixed = shot
 
     rows = []
     with tempfile.TemporaryDirectory(prefix=f"op-answers-{name}-") as tmp:
@@ -149,10 +163,10 @@ def compare(path_a: str, path_b: str) -> int:
           f"mismatches")
     for f, d in worst.items():
         print(f"  max relative difference of {f}: {d:.3g}")
-    totals = [{key: sum(r["counts"][key] for r in ops) for key in ("solve_banded", "back_solve")}
-              for ops in (a["ops"][: len(rows)], b["ops"][: len(rows)])]
-    print(f"  factorizations {totals[0]['solve_banded']} / {totals[1]['solve_banded']}, "
-          f"back-solves {totals[0]['back_solve']} / {totals[1]['back_solve']}")
+    for key, label in zip(COUNTS, ("factorizations", "back-solves", "cap shots")):
+        ta, tb = (sum(r["counts"][key] for r in ops)
+                  for ops in (a["ops"][: len(rows)], b["ops"][: len(rows)]))
+        print(f"  {label} {ta} / {tb}")
     return 1 if bad else 0
 
 
