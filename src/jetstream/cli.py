@@ -34,9 +34,8 @@ from .errors import (
     ConfigError,
     ConstraintError,
     FoldOverError,
-    LongNozzleError,
     NonconvergenceError,
-    ShortNozzleError,
+    NozzleMatchError,
     SingularSystemError,
 )
 from .fixedbvp import (
@@ -443,13 +442,11 @@ def cmd_physmap(args) -> int:
         summary["radius"] = rc.R
         try:
             sol = match_R(rc.R, rc.flow, gas, consts, rc.options)
-        except (LongNozzleError, ShortNozzleError) as err:
+        except NozzleMatchError as err:
             timings["solve"] = time.perf_counter() - t0
             # The reason is classify's verdict for this radius.
-            short = isinstance(err, ShortNozzleError)
-            reason = "NO_SOLUTION_SHORT" if short else "NO_SOLUTION_LONG"
             return _no_solution(
-                summary, timings, out, reason, str(err), r_hat=err.r_hat, r_star=err.r_star
+                summary, timings, out, err.verdict, str(err), r_hat=err.r_hat, r_star=err.r_star
             )
     else:
         zeta = args.zeta if args.zeta is not None else consts.zeta_hat
@@ -688,7 +685,7 @@ def main(argv=None) -> int:
     except (NonconvergenceError, SingularSystemError, FoldOverError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (LongNozzleError, ShortNozzleError) as err:
+    except NozzleMatchError as err:
         print(f"no solution: {err}", file=sys.stderr)
         return _EXIT_NONEXISTENCE
 

@@ -48,7 +48,7 @@ class NozzleMatchError(JetstreamError):
     """No detachment position reproduces the requested jet radius.
 
     Carries the admissible radius window ``[r_hat, r_star]`` so callers can
-    report how far out of range the request was.
+    report how far out of range the request was; ``verdict`` is classify's.
     """
 
     def __init__(self, message: str, r_hat: float, r_star: float):
@@ -60,6 +60,10 @@ class NozzleMatchError(JetstreamError):
 class LongNozzleError(NozzleMatchError):
     """Requested radius below the symmetric-flow radius: wall would be too long."""
 
+    verdict = "NO_SOLUTION_LONG"
+
 
 class ShortNozzleError(NozzleMatchError):
     """Requested radius above the attainable maximum: wall would be too short."""
+
+    verdict = "NO_SOLUTION_SHORT"

@@ -445,15 +445,24 @@ class _Operator:
         self.stencil = tuple(
             a * (nq + 1) + b for a, b in ((ii, jj), (ii + 1, jj), (iW, jj), (ii, jN), (ii, jS))
         )
-        # The neighbour table: per face, in the order of ``c``, the free
-        # nodes whose neighbour across it is free too, and the band column
-        # and row of that off-diagonal entry.
+        # The neighbour table: per face, in the order of ``c``, the free nodes
+        # whose neighbour across it is free too, the entry's column and its row
+        # among the ``offsets`` (column less row, decreasing: 0, +-1, +-(n_psi
+        # + 1), and +-n_psi past zeta, where the top node is Dirichlet).
         p = np.arange(self.n_free)
-        self.neighbours = []
+        faces = []
         for face, flat in zip((True, ~self.at_inlet, self.has_N, self.has_S), self.stencil[1:]):
             col = idx.ravel()[flat]
             mask = face & (col >= 0)
-            self.neighbours.append((mask, col[mask], nq + 1 + p[mask] - col[mask]))
+            faces.append((mask, col[mask], col[mask] - p[mask]))
+        # Offsets counted, not sorted (a sort costs as much as the rest of
+        # __init__); an offset's row is the number of held offsets above it.
+        every = np.concatenate([[0]] + [d for *_, d in faces])
+        lo = int(every.min())
+        held = np.bincount(every - lo).astype(bool)
+        row = np.cumsum(held[::-1])[::-1] - 1
+        self.offsets = tuple((np.flatnonzero(held)[::-1] + lo).tolist())
+        self.neighbours = [(m, c, row[d - lo]) for m, c, d in faces]
         self._set_phi(grid)
 
     def _set_phi(self, grid):
@@ -592,7 +601,7 @@ class _Operator:
         return self.cfg.R0 * float(np.min(q0)) - self.grid.xi >= -1e-9 * self.grid.xi
 
     def newton_matrix(self, Qfull, q0=None):
-        """Assemble M = -J in band storage and certify it is an M-matrix;
+        """Assemble M = -J by its diagonals and certify it is an M-matrix;
         ``q0`` is the inlet speeds when the caller already has them."""
         C, _, _, N, S = self.stencil
         # One lookup on the full grid, gathered at the C, N and S neighbours.
@@ -635,12 +644,11 @@ class _Operator:
                 "M-matrix certificate failed: no strictly dominant column"
             )
 
-        nb = self.grid.n_psi + 1
-        ab = np.zeros((2 * nb + 1, self.n_free))
-        ab[nb, :] = diag
+        diags = np.zeros((len(self.offsets), self.n_free))
+        diags[self.offsets.index(0)] = diag
         for (mask, col, row), v in zip(self.neighbours, offdiag):
-            ab[row, col] = v[mask]
-        return numerics.BandedSystem(self.n_free, nb, nb, ab)
+            diags[row, col] = v[mask]
+        return numerics.BandedSystem(self.n_free, self.offsets, diags)
 
 
 #: Newton tolerance on the density-norm residual (floored by roundoff).
@@ -820,7 +828,6 @@ def _newton_solve(op: _Operator, Qfull0, regrid=None):
                     estimate=norm,
                 )
             it += 1
-            sys = None  # let the last matrix go before the next is assembled
             sys = op.newton_matrix(Qfull, q0)
             steps = candidates(lambda rhs: numerics.solve_banded(sys, rhs))
             for delta, dxi, lam_min in steps:

@@ -58,6 +58,7 @@ from .errors import (
     ConstraintError,
     LongNozzleError,
     NonconvergenceError,
+    NozzleMatchError,
     ShortNozzleError,
     SingularSystemError,
 )
@@ -601,10 +602,8 @@ def classify_radius(
     probes = zs.cap_shots
     try:
         sol = match_R(R, cfg, gas, consts, options, zs=zs)
-    except LongNozzleError as err:
-        return ClassifyResult("NO_SOLUTION_LONG", err.r_hat, err.r_star, probes)
-    except ShortNozzleError as err:
-        return ClassifyResult("NO_SOLUTION_SHORT", err.r_hat, err.r_star, probes)
+    except NozzleMatchError as err:
+        return ClassifyResult(err.verdict, err.r_hat, err.r_star, probes)
     return ClassifyResult(
         "EXISTS",
         r_hat=consts.R_hat,

@@ -24,10 +24,11 @@ because importing ``scipy.linalg`` (it pulls in scipy's array-API layer,
 ``numpy.testing`` and f2py) cost ~0.17 s of a ~0.26 s cold start.  A
 scipy without that file fails the import with an ``ImportError``.
 
-Banded solves factor in place.  ``solve_banded`` copies the band into one
-Fortran-ordered (2l + u + 1)-row work array per (l, u), kept per thread and
-reused by every later system of that band (grown when a system has more
-columns), factors it there with LAPACK ``dgbtrf`` and solves with
+Banded solves factor in place.  A ``BandedSystem`` holds only its nonzero
+diagonals, and ``solve_banded`` alone lays them out in LAPACK band storage:
+in one Fortran-ordered (2l + u + 1)-row work array per (l, u), kept per
+thread and reused by every later system of that band (grown when a system
+has more columns).  It factors there with LAPACK ``dgbtrf`` and solves with
 ``dgbtrs``: the same two routines ``gbsv`` runs, so the solution is bitwise
 that of ``scipy.linalg.solve_banded``, without a fresh ~200 MB array per
 call at 512x128 cells.  The factorization stays on the system
@@ -35,8 +36,7 @@ call at 512x128 cells.  The factorization stays on the system
 it, at the cost of two triangular sweeps.  The next factorization of the
 same band overwrites the work array, so a handle from before it is stale
 and ``back_solve`` refuses it.  Every solve, first or later, passes the same
-residual check; its occupied band rows and ||A|| are found once per
-factorization.
+residual check; ||A|| is found once per factorization.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def _load_flapack():
     package ``__init__``.
 
     A copy already in ``sys.modules`` (``scipy.linalg`` was imported first)
-    is reused; a fresh one is registered there, so a later ``import
-    scipy.linalg`` picks up the same module.  Either way its routines are
-    the very objects ``scipy.linalg.lapack`` exports."""
+    is reused.  A fresh one is dropped from ``sys.modules``, so that a later
+    ``import scipy.linalg`` loads it again and binds the attribute
+    ``scipy.linalg._flapack``.  In either order its routines are the very
+    objects ``scipy.linalg.lapack`` exports."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -90,8 +91,8 @@ def _load_flapack():
             path=linalg,
         )
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 
@@ -170,18 +171,24 @@ class Bracket:
 
 @dataclass
 class BandedSystem:
-    """A banded linear system in LAPACK band storage.
-
-    ``ab`` has shape (l + u + 1, n) with entry A[i, j] stored at
-    ab[u + i - j, j]; ``l``/``u`` count sub/superdiagonals.
+    """An n x n banded matrix held by its nonzero diagonals: ``offsets`` j - i
+    in decreasing order and ``diags[k, j] = A[j - offsets[k], j]`` (entries
+    outside A are not read).  ``l``/``u`` count the sub/superdiagonals spanned.
     """
 
     n: int
-    l: int
-    u: int
-    ab: np.ndarray
+    offsets: tuple
+    diags: np.ndarray
     #: The LU factorization ``solve_banded`` left, for ``back_solve``.
     lu: "_LU | None" = field(default=None, repr=False)
+
+    @property
+    def l(self) -> int:
+        return max(0, -min(self.offsets))
+
+    @property
+    def u(self) -> int:
+        return max(0, max(self.offsets))
 
 
 class _Work:
@@ -210,13 +217,11 @@ class _Work:
 
 @dataclass(frozen=True)
 class _LU:
-    """One factorization in a work array, with what the residual check
-    needs of the matrix: its occupied band rows and ||A||_inf."""
+    """One factorization in a work array, with ||A||_inf for the residual check."""
 
     work: _Work
     generation: int
     piv: np.ndarray
-    rows: list
     norm_A: float
 
     def factors(self, n: int) -> np.ndarray:
@@ -521,30 +526,15 @@ def hermite_excess(x, d) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + d.shape[1:]), np.cumsum(gap, axis=0)])
 
 
-def _band_rows(sys: BandedSystem) -> list:
-    """(offset j - i, stored diagonal) for every band row holding a nonzero.
-
-    Rows that are entirely zero contribute nothing to a product with a
-    finite vector or to a row sum, so skipping them is exact.  The Newton
-    matrices have 2 n_psi + 3 band rows: a symmetric grid fills 5 of them
-    (offsets 0, +-1, +-(n_psi + 1)), an asymmetric one 7 (+-n_psi too),
-    because the phi columns past zeta lose their Dirichlet top node.
-    """
-    occupied = np.flatnonzero(sys.ab.any(axis=1))
-    return [(sys.u - int(r), sys.ab[r]) for r in occupied]
-
-
-def banded_matvec(
-    sys: BandedSystem, x: np.ndarray, rows: list | None = None
-) -> np.ndarray:
-    """A @ x for a matrix in band storage, x of shape (n,) or (n, k).
-    ``rows`` is ``_band_rows(sys)`` when the caller already has it."""
+def banded_matvec(sys: BandedSystem, x: np.ndarray) -> np.ndarray:
+    """A @ x for a banded matrix, x of shape (n,) or (n, k); the diagonals
+    are added in the order of ``sys.offsets``."""
     n = sys.n
     y = np.zeros(x.shape)
-    for d, diag in _band_rows(sys) if rows is None else rows:
+    for d, diag in zip(sys.offsets, sys.diags):
         if x.ndim == 2:
             diag = diag[:, None]
-        # entries A[i, i+d] = ab[u-d, i+d]
+        # entries A[i, i+d] = diags[k, i+d]
         if d >= 0:
             y[: n - d] += diag[d:] * x[d:]
         else:
@@ -555,9 +545,9 @@ def banded_matvec(
 def solve_banded(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the banded system by LU with partial pivoting confined to the band.
 
-    Factors a copy of ``ab`` in place in this thread's work array for the
-    band (LAPACK dgbtrf) and solves with dgbtrs; the factorization is left
-    on ``sys.lu`` for ``back_solve``.  ``rhs`` is a vector (n,) or a block
+    Lays the diagonals out in this thread's work array for the band, factors
+    them there (LAPACK dgbtrf) and solves with dgbtrs; the factorization is
+    left on ``sys.lu`` for ``back_solve``.  ``rhs`` is a vector (n,) or a block
     of right-hand sides (n, k) that share one factorization.  Every
     solution column is verified by an explicit residual check:
     ||Ax - b|| <= 1e-10 * max(1, ||b||) for well-conditioned systems,
@@ -565,25 +555,26 @@ def solve_banded(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     the system is large in norm; a zero pivot or a failed check in any column
     raises SingularSystemError.
     """
-    if sys.ab.shape != (sys.l + sys.u + 1, sys.n):
+    if sys.diags.shape != (len(sys.offsets), sys.n):
         raise ConstraintError(
-            f"band storage shape {sys.ab.shape} does not match "
-            f"(l+u+1, n) = ({sys.l + sys.u + 1}, {sys.n})"
+            f"diagonals of shape {sys.diags.shape} do not match "
+            f"({len(sys.offsets)} offsets, n = {sys.n})"
         )
     sys.lu = None
     work = _work(sys.l, sys.u)
     ab = work.take(sys.n)
-    ab[sys.l :] = sys.ab
+    ab[sys.l :] = 0.0  # the first l rows are left to dgbtrf's fill-in
+    for d, diag in zip(sys.offsets, sys.diags):
+        ab[sys.l + sys.u - d] = diag  # A[i, j] at ab[l + u + i - j, j]
     _, piv, info = dgbtrf(ab, sys.l, sys.u, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(
             f"banded factorization failed: zero pivot in column {info - 1}"
         )
-    rows = _band_rows(sys)
-    # Row sums of |A| give ||A||_inf without leaving band storage.
-    abs_rows = [(d, np.abs(diag)) for d, diag in rows]
-    norm_A = float(banded_matvec(sys, np.ones(sys.n), abs_rows).max())
-    sys.lu = _LU(work, work.generation, piv, rows, norm_A)
+    # Row sums of |A| give ||A||_inf without leaving the diagonals.
+    abs_A = BandedSystem(sys.n, sys.offsets, np.abs(sys.diags))
+    norm_A = float(banded_matvec(abs_A, np.ones(sys.n)).max())
+    sys.lu = _LU(work, work.generation, piv, norm_A)
     return back_solve(sys, rhs)
 
 
@@ -603,7 +594,7 @@ def back_solve(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("banded solve produced non-finite entries")
     # Column-wise infinity norms (scalars for a single right-hand side).
-    rnorm = np.max(np.abs(banded_matvec(sys, x, lu.rows) - rhs), axis=0)
+    rnorm = np.max(np.abs(banded_matvec(sys, x) - rhs), axis=0)
     norm_b = np.max(np.abs(rhs), axis=0)
     norm_x = np.max(np.abs(x), axis=0)
     # Well-conditioned systems meet the tight bound; beyond it, accept

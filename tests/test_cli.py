@@ -515,11 +515,13 @@ def test_import_loads_no_scipy_package_only_its_lapack_wrapper():
     # LAPACK wrapper only.  scipy.interpolate (which drags in scipy.special
     # and scipy.optimize) cost ~0.27 s of every cold start, and the
     # scipy.linalg package (scipy._lib._array_api, numpy.testing, f2py)
-    # ~0.17 s more.
+    # ~0.17 s more.  The wrapper is loaded but left out of sys.modules, so
+    # that a later import of scipy.linalg binds it.
     src = str(Path(js.__file__).resolve().parents[1])
     probe = (
         "import sys, jetstream, jetstream.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "jetstream.numerics._flapack.__name__)"
     )
     res = subprocess.run(
         [sys.executable, "-c", probe],
@@ -528,4 +530,4 @@ def test_import_loads_no_scipy_package_only_its_lapack_wrapper():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "['scipy.linalg._flapack']"
+    assert res.stdout.strip() == "[] scipy.linalg._flapack"

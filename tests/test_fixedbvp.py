@@ -401,6 +401,22 @@ def test_certificate_rejects_nonpositive_flux_slope(gas, cfg, consts):
             op.newton_matrix(Qfull)
 
 
+def test_certificate_rejects_a_column_that_loses_dominance(gas, cfg, consts):
+    # A conductance 100x too large on one interior node's east face puts
+    # -100 cE w_C into its east neighbour's column, which w_E M_EE (w falls
+    # with phi) cannot make up.  F' > 0 and the inlet stay as they were, so
+    # only the weighted column sum rule can fire.
+    grid = js.build_grid(0.06, 0.11, od.M_FLUX, 32, 16, consts)
+    op = _Operator(grid, gas, cfg, consts)
+    Qfull = np.full((33, 17), od.A_07)
+    op.newton_matrix(Qfull)
+    cE = op.c[0].copy()
+    cE[np.flatnonzero(op.ii == 10)[8]] *= 100.0
+    op.c = (cE,) + op.c[1:]
+    with pytest.raises(errors.SingularSystemError, match="weighted column sum"):
+        op.newton_matrix(Qfull)
+
+
 def test_certificate_rejects_lost_inlet_coercivity(gas, cfg, consts):
     # With the whole inlet at the clamp floor (q = c_l / 2) and xi at
     # the cap, the Robin coupling overwhelms the column weights.

@@ -704,6 +704,7 @@ def test_match_R_long_nozzle(gas, cfg, consts, opts64):
         js.match_R(0.5 * od.R_HAT, cfg, gas, consts, opts64)
     assert abs(exc.value.r_hat - od.R_HAT) < 1e-12
     assert exc.value.r_star > od.R_HAT
+    assert exc.value.verdict == "NO_SOLUTION_LONG"
 
 
 def test_match_R_rejects_out_of_range(gas, cfg, consts, opts64):
@@ -716,6 +717,7 @@ def test_match_R_rejects_out_of_range(gas, cfg, consts, opts64):
             js.match_R(R, cfg, gas, consts, opts64)
         assert abs(exc.value.r_hat - od.R_HAT) < 1e-12
         assert od.R_HAT < exc.value.r_star < od.R0
+        assert exc.value.verdict == "NO_SOLUTION_SHORT"
 
 
 def test_classify_short_for_radius_at_or_beyond_inlet(gas, cfg, consts, opts64):

@@ -316,14 +316,32 @@ def test_hermite_excess_is_pchip_antiderivative_minus_trapezoid(case):
 
 
 def _random_banded(rng, n, l, u):
-    ab = np.zeros((l + u + 1, n))
-    for d in range(-l, u + 1):
-        row = u - d
+    """A random diagonally dominant system with every diagonal from u down
+    to -l, and a right-hand side."""
+    offsets = tuple(range(u, -l - 1, -1))
+    diags = np.zeros((len(offsets), n))
+    for k, d in enumerate(offsets):
         vals = rng.uniform(-1.0, 1.0, n)
-        ab[row, max(d, 0) : n + min(d, 0)] = vals[: n - abs(d)]
+        diags[k, max(d, 0) : n + min(d, 0)] = vals[: n - abs(d)]
     # diagonally dominate to guarantee solvability
-    ab[u, :] += 4.0
-    return numerics.BandedSystem(n, l, u, ab), rng.uniform(-1.0, 1.0, n)
+    diags[offsets.index(0)] += 4.0
+    return numerics.BandedSystem(n, offsets, diags), rng.uniform(-1.0, 1.0, n)
+
+
+def _lapack_band(sys):
+    """The (l + u + 1, n) LAPACK band storage scipy's solve_banded takes."""
+    ab = np.zeros((sys.l + sys.u + 1, sys.n))
+    for d, diag in zip(sys.offsets, sys.diags):
+        ab[sys.u - d] = diag
+    return ab
+
+
+def _dense(sys):
+    a = np.zeros((sys.n, sys.n))
+    for d, diag in zip(sys.offsets, sys.diags):
+        j = np.arange(max(d, 0), sys.n + min(d, 0))
+        a[j - d, j] = diag[j]
+    return a
 
 
 def test_solve_banded_matches_dense():
@@ -333,10 +351,44 @@ def test_solve_banded_matches_dense():
     assert np.max(np.abs(numerics.banded_matvec(sys, x) - b)) < 1e-12
 
 
+@pytest.mark.parametrize("l, u", [(3, 2), (0, 3), (3, 0)])
+def test_banded_matvec_is_the_dense_product(l, u):
+    # Each diagonal lands where its offset says, also with no
+    # superdiagonal (u = 0) or no subdiagonal (l = 0).
+    rng = np.random.default_rng(10 * l + u)
+    sys, b = _random_banded(rng, 23, l, u)
+    assert (sys.l, sys.u) == (l, u)
+    x = np.column_stack([b, rng.uniform(-1.0, 1.0, sys.n)])
+    a = _dense(sys)
+    assert np.allclose(numerics.banded_matvec(sys, b), a @ b, rtol=0.0, atol=1e-14)
+    assert np.allclose(numerics.banded_matvec(sys, x), a @ x, rtol=0.0, atol=1e-14)
+
+
+def test_band_skips_diagonals_that_are_not_held():
+    # Offsets (2, 0, -3): l and u come from the outermost ones, and the
+    # diagonals in between that are not held are zero.
+    rng = np.random.default_rng(4)
+    n = 30
+    sys = numerics.BandedSystem(n, (2, 0, -3), rng.uniform(-1.0, 1.0, (3, n)))
+    sys.diags[1] += 4.0
+    assert (sys.l, sys.u) == (3, 2)
+    b = rng.uniform(-1.0, 1.0, n)
+    x = numerics.solve_banded(sys, b)
+    assert np.array_equal(x, scipy.linalg.solve_banded((3, 2), _lapack_band(sys), b))
+    assert np.max(np.abs(_dense(sys) @ x - b)) < 1e-12
+
+
+def test_solve_banded_rejects_mismatched_diagonals():
+    n = 6
+    for diags in (np.ones((2, n)), np.ones((3, n - 1))):
+        with pytest.raises(errors.ConstraintError, match="do not match"):
+            numerics.solve_banded(numerics.BandedSystem(n, (1, 0, -1), diags), np.ones(n))
+
+
 def test_solve_banded_singular_raises():
     n = 5
-    ab = np.zeros((3, n))  # tridiagonal all-zero matrix
-    sys = numerics.BandedSystem(n, 1, 1, ab)
+    diags = np.zeros((3, n))  # tridiagonal all-zero matrix
+    sys = numerics.BandedSystem(n, (1, 0, -1), diags)
     with pytest.raises(errors.SingularSystemError):
         numerics.solve_banded(sys, np.ones(n))
 
@@ -403,6 +455,18 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
     assert res.stdout.split() == ["True", "True", "True"]
 
 
+def test_scipy_linalg_binds_its_lapack_wrapper_after_jetstream():
+    # jetstream loads the extension first; scipy.linalg, imported later,
+    # still has it as an attribute, holding the routines numerics calls.
+    res = _fresh_python(
+        "import jetstream, scipy.linalg; from jetstream import numerics; "
+        "print(scipy.linalg._flapack is scipy.linalg.lapack._flapack, "
+        "numerics.dgbtrf is scipy.linalg._flapack.dgbtrf)"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "True"]
+
+
 def test_missing_lapack_wrapper_fails_the_import_loudly(tmp_path):
     # A scipy whose directory has no _flapack extension: the import stops
     # with an ImportError naming the module and the directory searched.
@@ -421,7 +485,7 @@ def test_missing_lapack_wrapper_fails_the_import_loudly(tmp_path):
     assert "_flapack" in last and str(tmp_path / "linalg") in last and "scipy " in last
 
 
-@pytest.mark.parametrize("l, u", [(3, 2), (2, 5), (6, 6), (0, 3)])
+@pytest.mark.parametrize("l, u", [(3, 2), (2, 5), (6, 6), (0, 3), (4, 0)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_solve_banded_is_bitwise_scipy(l, u, k):
     # The in-place dgbtrf/dgbtrs pair runs what scipy's gbsv runs, so the
@@ -433,7 +497,7 @@ def test_solve_banded_is_bitwise_scipy(l, u, k):
         if k == 2:
             rhs = np.column_stack([rhs, rng.uniform(-1.0, 1.0, n)])
         x = numerics.solve_banded(sys, rhs)
-        ref = scipy.linalg.solve_banded((l, u), sys.ab, rhs)
+        ref = scipy.linalg.solve_banded((l, u), _lapack_band(sys), rhs)
         assert x.shape == ref.shape
         assert np.array_equal(x, ref)
 
@@ -445,7 +509,7 @@ def test_back_solve_matches_a_fresh_solve():
     rhs = np.column_stack([rng.uniform(-1.0, 1.0, sys.n) for _ in range(2)])
     x = numerics.back_solve(sys, rhs)
     assert np.array_equal(numerics.back_solve(sys, rhs[:, 1]), x[:, 1])
-    fresh = numerics.BandedSystem(sys.n, sys.l, sys.u, sys.ab.copy())
+    fresh = numerics.BandedSystem(sys.n, sys.offsets, sys.diags.copy())
     assert np.array_equal(x, numerics.solve_banded(fresh, rhs))
 
 

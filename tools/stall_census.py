@@ -45,7 +45,7 @@ import numpy as np
 
 import jetstream as js
 from jetstream import numerics
-from jetstream.errors import JetstreamError, LongNozzleError, ShortNozzleError
+from jetstream.errors import JetstreamError, NozzleMatchError
 
 GRIDS = ((64, 32), (128, 32), (128, 64))
 _NUMBER = re.compile(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?")
@@ -82,10 +82,8 @@ def match_case(rng, gas, cfg, consts, zeta, opts, misses):
     R = consts.R_hat + frac * (zs.at_star.r_equiv - consts.R_hat)
     try:
         sol = js.match_R(R, cfg, gas, consts, opts, zs=zs)
-    except LongNozzleError:
-        return "NO_SOLUTION_LONG", "NO_SOLUTION_LONG", f"R={R!r}: NO_SOLUTION_LONG"
-    except ShortNozzleError:
-        return "NO_SOLUTION_SHORT", "NO_SOLUTION_SHORT", f"R={R!r}: NO_SOLUTION_SHORT"
+    except NozzleMatchError as err:
+        return err.verdict, err.verdict, f"R={R!r}: {err.verdict}"
     misses.append(abs(sol.wall_length - (cfg.R0 - R)))
     return "EXISTS", "EXISTS", f"R={R!r}: EXISTS zeta={sol.zeta!r} xi={sol.xi!r}"
 
