@@ -247,7 +247,7 @@ def _write_field_csv(path: Path, field: SpeedField, theta: np.ndarray) -> None:
 
 
 def _write_curve_csv(path: Path, curve: np.ndarray) -> None:
-    """An (n, 2) curve of (x, y) samples, one row each."""
+    """An (n, 2) array of (x, y) points, one row each."""
     _write_float_csv(path, ["x[len]", "y[len]"], [_lines(*map(_reprs, curve.T))])
 
 
@@ -476,8 +476,8 @@ def cmd_physmap(args) -> int:
     )
     summary.update({f"geometry.{c.name}": c.status for c in checks})
     _write_field_csv(out / "field.csv", sol.field, angles.theta)
-    coords = _node_lines(sol.field.grid, phys.x, phys.y)
-    _write_float_csv(out / "coords.csv", ["phi[-]", "psi[-]", "x[len]", "y[len]"], coords)
+    # One (x, y) row per node, in field.csv's order.
+    _write_curve_csv(out / "coords.csv", np.column_stack([phys.x.ravel(), phys.y.ravel()]))
     curves = (phys.inlet_curve, phys.wall_curve, phys.free_streamline, phys.outlet_curve)
     for name, curve in zip(("inlet", "wall", "free", "outlet"), curves):
         _write_curve_csv(out / f"curves_{name}.csv", curve)

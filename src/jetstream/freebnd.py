@@ -101,16 +101,16 @@ class ZetaStarResult:
     """Outcome of the minimal-detachment search.
 
     floor_limited means the search floor itself was solvable, so zeta_star
-    is reported as 0.0.  ``at_star`` is the solved flow at zeta_star (the
-    floor when floor-limited), ``at_hat`` the one at zeta_hat when the
-    search probed it (None when floor-limited).  ``cap_shots`` counts the
-    search's cap shots, its two ends included (1 when floor-limited).
+    is reported as 0.0.  ``at_star`` and ``at_hat`` are the solved flows at
+    the two ends of the family: at zeta_star (the floor when floor-limited)
+    and at zeta_hat.  ``cap_shots`` counts the search's cap shots, its two
+    ends included (1 when floor-limited).
     """
 
     zeta_star: float
     floor_limited: bool
     at_star: FreeSolution
-    at_hat: FreeSolution | None
+    at_hat: FreeSolution
     cap_shots: int
 
 
@@ -194,11 +194,7 @@ def solve_outlet(
     tolerance, NonconvergenceError is raised (chained from the bordered
     solve's error) naming zeta and the bracket.
     """
-    options = options or SolverOptions()
-    near = tuple(near)
-    if near:
-        return _solve_outlet(zeta, cfg, gas, consts, options, near=near)
-    return _solve_outlet(zeta, cfg, gas, consts, options)
+    return _solve_outlet(zeta, cfg, gas, consts, options or SolverOptions(), near=tuple(near))
 
 
 #: The coarsest level of the coarse start.  At 64x32 cells and below a
@@ -399,10 +395,12 @@ def find_zeta_star(
     shot reads solvable the result is reported as zeta_star = 0.0 with
     ``floor_limited`` set (the family extends to arbitrarily small zeta as
     far as this resolution can see), and ``at_star`` is the flow at the
-    floor, built from the floor's cap shot the same way.  Every call runs
-    the search afresh; the result carries the flows at the lower end and at
-    zeta_hat so that callers (``match_R``, ``classify_radius``) reuse them
-    instead of solving them again, and the number of cap shots it made.
+    floor, built from the floor's cap shot the same way.  On either path
+    ``solve_outlet`` then solves zeta_hat (``at_hat``); a cap-bound search
+    also starts its cap shot there from that flow.  Every call runs the
+    search afresh; the result carries the flows at both ends so that callers
+    (``match_R``, ``classify_radius``) reuse them instead of solving them
+    again, and the number of cap shots it made.
     """
     options = options or SolverOptions()
     floor = _FLOOR * consts.zeta_hat
@@ -438,33 +436,34 @@ def find_zeta_star(
         return sol
 
     g_floor = cap_shot(floor)
-    if g_floor >= 0.0:
-        return ZetaStarResult(
-            zeta_star=0.0, floor_limited=True, at_star=at(floor), at_hat=None, cap_shots=1
-        )
+    floor_limited = g_floor >= 0.0
+    if floor_limited:
+        zeta_star, at_star = 0.0, at(floor)
     sol_hat = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
     if not isinstance(sol_hat, FreeSolution):
         raise NonconvergenceError(
             "the symmetric detachment abscissa itself failed to solve; "
             "resolution too coarse for this configuration"
         )
-    g_hat = cap_shot(consts.zeta_hat, sol_hat.field)
-    br = numerics.shrink_bracket(
-        cap_shot,
-        numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat),
-        _ZETA_TOL * consts.zeta_hat,
-        slope=slope,
-    )
-    if br.hi >= consts.zeta_hat:
-        raise NonconvergenceError(
-            "minimal-detachment search found nothing solvable strictly below "
-            "the symmetric abscissa; the threshold must satisfy "
-            "zeta_star < zeta_hat"
+    if not floor_limited:
+        g_hat = cap_shot(consts.zeta_hat, sol_hat.field)
+        br = numerics.shrink_bracket(
+            cap_shot,
+            numerics.Bracket(floor, consts.zeta_hat, g_floor, g_hat),
+            _ZETA_TOL * consts.zeta_hat,
+            slope=slope,
         )
+        if br.hi >= consts.zeta_hat:
+            raise NonconvergenceError(
+                "minimal-detachment search found nothing solvable strictly below "
+                "the symmetric abscissa; the threshold must satisfy "
+                "zeta_star < zeta_hat"
+            )
+        zeta_star, at_star = br.hi, at(br.hi)
     return ZetaStarResult(
-        zeta_star=br.hi,
-        floor_limited=False,
-        at_star=at(br.hi),
+        zeta_star=zeta_star,
+        floor_limited=floor_limited,
+        at_star=at_star,
         at_hat=sol_hat,
         cap_shots=len(cap_fields),
     )
@@ -494,9 +493,12 @@ def match_R(
     achievable maximum (R >= R0 among them) raise ShortNozzleError; both
     carry (r_hat, r_star).  A radius R <= 0 raises ConstraintError.
     ``zs`` is the minimal-detachment search for this configuration when the
-    caller already ran it; its solved endpoints bracket the match.  Inside
-    that bracket ``numerics.shrink_bracket`` runs one ``solve_outlet`` per
-    step until |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``), each
+    caller already ran it; its two solved ends, ``at_star`` and ``at_hat``,
+    bracket the match, and no other flow is solved at either.  Inside that
+    bracket ``numerics.shrink_bracket`` narrows the sign change of
+    G(zeta) = wall_length - (R0 - R), which increases in zeta along the
+    family, with one ``solve_outlet`` per step until
+    |wall_length - (R0 - R)| <= 1e-7 (``_MATCH_TOL``), each
     given every flow solved so far (``near``), so a probe starts from its
     two nearest neighbours on the family rather than from the coarser level.
     """
@@ -507,7 +509,7 @@ def match_R(
 
     if zs is None:
         zs = find_zeta_star(cfg, gas, consts, options)
-    sol_lo = zs.at_star
+    sol_lo, sol_hi = zs.at_star, zs.at_hat
     z_lo = sol_lo.zeta
     r_hat = consts.R_hat
     r_star = sol_lo.r_equiv
@@ -519,18 +521,6 @@ def match_R(
             r_hat=r_hat,
             r_star=r_star,
         )
-    sol_hi = zs.at_hat
-    if sol_hi is None:
-        sol_hi = solve_outlet(consts.zeta_hat, cfg, gas, consts, options)
-        if not isinstance(sol_hi, FreeSolution):
-            raise NonconvergenceError(
-                "the symmetric detachment abscissa itself failed to solve"
-            )
-    # Wall length is monotone in zeta; detect the direction rather than
-    # assume it (it increases with zeta: longer wetted wall).
-    increasing = sol_hi.wall_length >= sol_lo.wall_length
-    L_min = min(sol_lo.wall_length, sol_hi.wall_length)
-    L_max = max(sol_lo.wall_length, sol_hi.wall_length)
     # Endpoint radii are only known up to the discretization error of the
     # wall-length quadrature, so classification at the endpoints uses a
     # grid-aware tolerance; interior root finding keeps the tight one.
@@ -541,27 +531,26 @@ def match_R(
         return sol_hi
     if abs(sol_lo.wall_length - target) <= gate_tol:
         return sol_lo
-    if target > L_max + gate_tol:
+    if target > sol_hi.wall_length + gate_tol:
         raise LongNozzleError(
             f"nozzle radius {R} demands a wetted wall of length {target:.8g}, "
-            f"longer than the symmetric maximum {L_max:.8g} "
-            f"(smallest matchable radius {cfg.R0 - L_max:.8g})",
+            f"longer than the symmetric maximum {sol_hi.wall_length:.8g} "
+            f"(smallest matchable radius {sol_hi.r_equiv:.8g})",
             r_hat=r_hat,
             r_star=r_star,
         )
-    if target < L_min - gate_tol:
+    if target < sol_lo.wall_length - gate_tol:
         raise ShortNozzleError(
             f"nozzle radius {R} demands a wetted wall of length {target:.8g}, "
             f"shorter than any solvable detachment provides "
-            f"(largest matchable radius {cfg.R0 - L_min:.8g})",
+            f"(largest matchable radius {r_star:.8g})",
             r_hat=r_hat,
             r_star=r_star,
         )
 
-    # G(z) = s * (L(z) - target) is increasing in z with G(lo) < 0 < G(hi);
-    # an unsolvable pocket at small zeta reads -inf, which moves the lower
-    # end up and makes the next probe the midpoint.
-    s = 1.0 if increasing else -1.0
+    # G(z) = L(z) - target is increasing in z with G(lo) < 0 < G(hi); an
+    # unsolvable pocket at small zeta reads -inf, which moves the lower end
+    # up and makes the next probe the midpoint.
     sols = {z_lo: sol_lo, consts.zeta_hat: sol_hi}
 
     def G(z):
@@ -569,15 +558,12 @@ def match_R(
         if not isinstance(sol, FreeSolution):
             return -math.inf
         sols[z] = sol
-        return s * (sol.wall_length - target)
+        return sol.wall_length - target
 
     br = numerics.shrink_bracket(
         G,
         numerics.Bracket(
-            z_lo,
-            consts.zeta_hat,
-            s * (sol_lo.wall_length - target),
-            s * (sol_hi.wall_length - target),
+            z_lo, consts.zeta_hat, sol_lo.wall_length - target, sol_hi.wall_length - target
         ),
         1e-13 * consts.zeta_hat,
         ftol=_MATCH_TOL,

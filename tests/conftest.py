@@ -4,13 +4,24 @@ Heavy solves (free-boundary shoots, the fine corner grid, sweeps) are
 session-scoped so each runs once; every converged field is also appended
 to a registry that the bound/monotonicity and angle-consistency tests
 iterate over ("every converged run").
+
+The tests' child interpreters (``python -m jetstream.cli``, ``python -c``)
+import the same package as this process: its ``src`` directory is put on
+their ``PYTHONPATH`` here, in front of any inherited entries.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jetstream as js
 import oracle_data as od
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(js.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """End-to-end command-line runs via subprocess: exit codes, files, formats."""
 
 import csv
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -344,8 +343,9 @@ def test_physmap_outputs(tmp_path):
     geo = {k: v for k, v in vals.items() if k.startswith("geometry.")}
     assert geo and all(v == "PASS" for v in geo.values()), geo
     _assert_summary_keys(out, "physmap")
-    coords_header = (out / "coords.csv").read_text().splitlines()[0]
-    assert coords_header == "phi[-],psi[-],x[len],y[len]"
+    coords = (out / "coords.csv").read_text().splitlines()
+    assert coords[0] == "x[len],y[len]"
+    assert len(coords) == len((out / "field.csv").read_text().splitlines())
     wall = np.loadtxt(out / "curves_wall.csv", delimiter=",", skiprows=1)
     assert wall.shape[1] == 2
 
@@ -408,9 +408,11 @@ def test_float_csv_writer_writes_the_bytes_of_csv_writer(tmp_path, gas, cfg, con
     want = reference(tmp_path / "want.csv", header, node_rows(q, sol.field.Q, angles.theta))
     assert (tmp_path / "field.csv").read_bytes() == want
 
-    header = ["phi[-]", "psi[-]", "x[len]", "y[len]"]
-    cli._write_float_csv(tmp_path / "coords.csv", header, cli._node_lines(grid, x, phys.y))
-    want = reference(tmp_path / "want.csv", header, node_rows(x, phys.y))
+    # coords.csv: (x, y) only, rows in field.csv's order.
+    coords = np.column_stack([x.ravel(), phys.y.ravel()])
+    cli._write_curve_csv(tmp_path / "coords.csv", coords)
+    rows = [row[2:] for row in node_rows(x, phys.y)]
+    want = reference(tmp_path / "want.csv", ["x[len]", "y[len]"], rows)
     assert (tmp_path / "coords.csv").read_bytes() == want
 
     for curve in (wall, phys.free_streamline, np.empty((0, 2))):
@@ -517,17 +519,11 @@ def test_import_loads_no_scipy_package_only_its_lapack_wrapper():
     # scipy.linalg package (scipy._lib._array_api, numpy.testing, f2py)
     # ~0.17 s more.  The wrapper is loaded but left out of sys.modules, so
     # that a later import of scipy.linalg binds it.
-    src = str(Path(js.__file__).resolve().parents[1])
     probe = (
         "import sys, jetstream, jetstream.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
         "jetstream.numerics._flapack.__name__)"
     )
-    res = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[] scipy.linalg._flapack"

@@ -352,12 +352,12 @@ def test_coarse_verdict_never_decides(gas, cfg, consts, opts128, coarse):
     ref = js.solve_outlet(zeta, cfg, gas, consts, opts128)
     one_level = freebnd._solve_outlet
 
-    def coarse_fails(zeta, cfg, gas, consts, options):
+    def coarse_fails(zeta, cfg, gas, consts, options, near=()):
         if options.n_phi < opts128.n_phi:
             if coarse == "raises":
                 raise errors.NonconvergenceError("coarse level refused")
             return freebnd.Nonexistence(zeta, "outlet-cap-bound", -1.0, "patched")
-        return one_level(zeta, cfg, gas, consts, options)
+        return one_level(zeta, cfg, gas, consts, options, near=near)
 
     solves, _, (fixed, banded) = _record_solves()
     with mock.patch.object(freebnd, "_solve_outlet", coarse_fails), fixed, banded:
@@ -407,6 +407,12 @@ def test_zeta_star_floor_limited_on_desk_config(gas, cfg, consts, opts64):
     assert zs.at_star.xi < consts.zeta_cap  # the floor's outlet is off the cap
     assert zs.zeta_star < consts.zeta_hat
     assert od.R_HAT < zs.at_star.r_equiv < od.R0
+    # The symmetric end is solved on this path too, as solve_outlet solves it.
+    sym = js.solve_outlet(consts.zeta_hat, cfg, gas, consts, opts64)
+    assert isinstance(zs.at_hat, js.FreeSolution)
+    assert zs.at_hat.zeta == consts.zeta_hat
+    assert zs.at_hat.xi == sym.xi
+    assert np.array_equal(zs.at_hat.field.q, sym.field.q)
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["floor-limited", "cap-bound"])
@@ -688,8 +694,9 @@ def test_match_R_interior_probes_take_no_cap_shot(gas, cfg, consts, opts64):
         freebnd, "solve_fixed", fixed
     ):
         js.match_R(R, cfg, gas, consts, opts64, zs=zs)
-    # The desk config is floor-limited: the first probe is zeta_hat's flow.
-    interior = probes[1:]
+    # match_R solves no flow at either end of the family: every recorded
+    # solve_outlet is an interior probe.
+    interior = probes
     assert len(interior) >= 3
     assert all(consts.zeta_cap not in xis for xis in interior[1:])
 
@@ -731,8 +738,17 @@ def test_classify_short_for_radius_at_or_beyond_inlet(gas, cfg, consts, opts64):
 # Sweep
 
 
-def test_sweep_rows_and_orderings(gas, cfg, consts, opts64):
-    rows = js.sweep_zeta(6, cfg, gas, consts, opts64, floor=0.02 * consts.zeta_hat)
+@pytest.mark.parametrize(
+    "tight, floor, r_tol", [(False, 0.02, 1e-4), (True, 0.94, 3e-6)], ids=["desk", "tight"]
+)
+def test_sweep_rows_and_orderings(gas, cfg, consts, opts64, tight, floor, r_tol):
+    # The family's orderings hold on a floor-limited config and on a
+    # cap-bound one (the tight config's zeta_star is ~0.93 zeta_hat);
+    # match_R's bracket relies on the wall length increasing in zeta.
+    if tight:
+        cfg = js.FlowConfig(R0=1.0, vartheta=1.0, m=0.25, c_e=0.8)
+        consts = js.derive_constants(gas, cfg)
+    rows = js.sweep_zeta(6, cfg, gas, consts, opts64, floor=floor * consts.zeta_hat)
     assert len(rows) == 6
     assert all(r.status == "ok" for r in rows)
     zetas = [r.zeta for r in rows]
@@ -746,7 +762,7 @@ def test_sweep_rows_and_orderings(gas, cfg, consts, opts64):
     # equivalent radius decreasing onto (R_hat, R0), hitting R_hat at zeta_hat
     requivs = [r.r_equiv for r in rows]
     assert all(a > b for a, b in zip(requivs, requivs[1:]))
-    assert abs(requivs[-1] - od.R_HAT) <= 1e-4
+    assert abs(requivs[-1] - consts.R_hat) <= r_tol
 
 
 def test_sweep_keeps_a_singular_row_in_the_table(gas, cfg, consts, opts64, monkeypatch):

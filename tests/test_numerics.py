@@ -1,10 +1,8 @@
 """Numerical kernels: root finding, quadrature, banded solves, power fits."""
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -425,13 +423,7 @@ def test_solve_banded_rejects_a_corrupted_column():
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(js.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
 
 
 def test_lapack_routines_are_scipys_in_process():
