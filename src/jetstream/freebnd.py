@@ -605,9 +605,11 @@ def classify_radius(
 # Parameter sweep.
 
 
-def _sweep_row(zeta, cfg, gas, consts, options) -> SweepRow:
+def _sweep_row(zeta, cfg, gas, consts, options, solved=None) -> SweepRow:
+    """The row at zeta, from ``solved`` (the cold flow there, when a search
+    has already solved it) or else a cold ``solve_outlet``."""
     try:
-        sol = solve_outlet(zeta, cfg, gas, consts, options)
+        sol = solve_outlet(zeta, cfg, gas, consts, options) if solved is None else solved
     except (NonconvergenceError, SingularSystemError, ConstraintError) as err:
         return SweepRow(zeta, math.nan, math.nan, math.nan, "error", str(err))
     if isinstance(sol, Nonexistence):
@@ -629,18 +631,22 @@ def sweep_zeta(
     Rows that fail keep their place in the table with a status of
     "no-solution" (typed nonexistence) or "error" (solver failure).  With no
     explicit floor the ladder starts at max(zeta_star, 0.02 * zeta_hat),
-    which runs the minimal-detachment search first."""
+    which runs the minimal-detachment search first; its cold flow at
+    zeta_hat is then the last row."""
     if count < 3:
         raise ConstraintError(f"sweep needs count >= 3, got {count}")
     options = options or SolverOptions()
+    solved = {}
     if floor is None:
         zs = find_zeta_star(cfg, gas, consts, options)
         floor = max(zs.zeta_star, 0.02 * consts.zeta_hat)
+        solved[consts.zeta_hat] = zs.at_hat
     if not (0.0 < floor < consts.zeta_hat):
         raise ConstraintError(
             f"sweep floor must lie in (0, zeta_hat), got {floor}"
         )
+    # np.geomspace ends exactly on zeta_hat.
     return [
-        _sweep_row(float(zeta), cfg, gas, consts, options)
-        for zeta in np.geomspace(floor, consts.zeta_hat, count)
+        _sweep_row(zeta, cfg, gas, consts, options, solved.get(zeta))
+        for zeta in map(float, np.geomspace(floor, consts.zeta_hat, count))
     ]

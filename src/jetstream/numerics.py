@@ -33,10 +33,22 @@ has more columns).  It factors there with LAPACK ``dgbtrf`` and solves with
 that of ``scipy.linalg.solve_banded``, without a fresh ~200 MB array per
 call at 512x128 cells.  The factorization stays on the system
 (``BandedSystem.lu``); ``back_solve`` solves further right-hand sides with
-it, at the cost of two triangular sweeps.  The next factorization of the
-same band overwrites the work array, so a handle from before it is stale
-and ``back_solve`` refuses it.  Every solve, first or later, passes the same
-residual check; ||A|| is found once per factorization.
+it, at the cost of two triangular sweeps.  U has l + u superdiagonals in
+LAPACK's storage, but only u + s of them can be nonzero, s being the
+largest row shift of the factorization's pivoting (0 when no row was
+swapped, as in every recorded factorization of a 512x128 free solve).  With
+k = max(l, u + s), ``dgbtrs`` is handed the same storage viewed l + u - k
+rows further down, as a band with l subdiagonals and k - l superdiagonals,
+so its U sweep reads k superdiagonals and skips the rows that hold exact
+zeros; L and the pivots are read as before.  Its answer is bitwise the
+full sweep's: each skipped term was x_i - t * 0.  The next factorization of
+the same band overwrites the work array, so a handle from before it is
+stale and ``back_solve`` refuses it.  Every solve, first or later, passes
+the same residual check, which multiplies a solution block column by
+column in its own (Fortran) layout; ||A|| is found once per factorization.
+On a 512x128 Newton matrix (n 65816, l = u = 129; 2 vCPUs, one BLAS thread)
+a two-column ``dgbtrs`` takes 32-34 ms where the full sweep took 46-48 ms,
+and its residual check 1.2 ms where mixed-layout products took 4.8 ms.
 """
 
 from __future__ import annotations
@@ -193,12 +205,13 @@ class BandedSystem:
 
 class _Work:
     """A thread's work array for one band (l, u): Fortran-ordered, with
-    2l + u + 1 rows (room for the fill-in of pivoting) and at least as many
-    columns as the largest system factored in it.  It grows with 1/8 spare
-    columns, since the unknown count of one grid size moves a little with
-    zeta; columns never factored in are never touched, so they cost address
-    space but no memory.  ``generation`` counts the factorizations made in
-    it."""
+    2l + u + 1 rows (room for the fill-in of pivoting) and more columns than
+    the largest system factored in it: ``back_solve`` views n columns that
+    start a few rows down, which reach into column n.  It grows with 1/8
+    spare columns, since the unknown count of one grid size moves a little
+    with zeta; columns never factored in are never touched, so they cost
+    address space but no memory.  ``generation`` counts the factorizations
+    made in it."""
 
     def __init__(self, rows: int):
         self.array = np.empty((rows, 0), order="F")
@@ -208,29 +221,37 @@ class _Work:
         """The first n columns, for a new factorization; any handle to an
         earlier one goes stale."""
         rows, cols = self.array.shape
-        if cols < n:
+        if cols <= n:
             self.array = None  # let the old array go before the new one is made
-            self.array = np.empty((rows, n + n // 8), order="F")
+            self.array = np.empty((rows, n + n // 8 + 1), order="F")
         self.generation += 1
         return self.array[:, :n]
 
 
 @dataclass(frozen=True)
 class _LU:
-    """One factorization in a work array, with ||A||_inf for the residual check."""
+    """One factorization in a work array: its pivots, its fill (the largest
+    row shift max(piv[i] - i), 0 when no row was swapped) and ||A||_inf for
+    the residual check."""
 
     work: _Work
     generation: int
     piv: np.ndarray
+    fill: int
     norm_A: float
 
-    def factors(self, n: int) -> np.ndarray:
+    def factors(self, n: int, skip: int) -> np.ndarray:
+        """The factors of n columns in band storage that starts ``skip`` rows
+        down the work array: a Fortran-ordered view of its buffer, with the
+        array's row count as leading dimension."""
         if self.generation != self.work.generation:
             raise ConstraintError(
                 "banded factorization is stale: its work array has been "
                 "refactored since"
             )
-        return self.work.array[:, :n]
+        rows = self.work.array.shape[0]
+        flat = self.work.array.reshape(-1, order="F")
+        return flat[skip : skip + rows * n].reshape((rows, n), order="F")
 
 
 _THREAD = threading.local()
@@ -528,17 +549,19 @@ def hermite_excess(x, d) -> np.ndarray:
 
 def banded_matvec(sys: BandedSystem, x: np.ndarray) -> np.ndarray:
     """A @ x for a banded matrix, x of shape (n,) or (n, k); the diagonals
-    are added in the order of ``sys.offsets``."""
+    are added in the order of ``sys.offsets``.  A block is multiplied one
+    column at a time into a result of x's memory layout, so that the
+    columns of a Fortran-ordered block (a solution) are read and written
+    contiguously."""
     n = sys.n
-    y = np.zeros(x.shape)
-    for d, diag in zip(sys.offsets, sys.diags):
-        if x.ndim == 2:
-            diag = diag[:, None]
-        # entries A[i, i+d] = diags[k, i+d]
-        if d >= 0:
-            y[: n - d] += diag[d:] * x[d:]
-        else:
-            y[-d:] += diag[: n + d] * x[: n + d]
+    y = np.zeros_like(x, dtype=float)
+    for xc, yc in zip(x.T, y.T) if x.ndim == 2 else [(x, y)]:
+        for d, diag in zip(sys.offsets, sys.diags):
+            # entries A[i, i+d] = diags[k, i+d]
+            if d >= 0:
+                yc[: n - d] += diag[d:] * xc[d:]
+            else:
+                yc[-d:] += diag[: n + d] * xc[: n + d]
     return y
 
 
@@ -574,21 +597,29 @@ def solve_banded(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     # Row sums of |A| give ||A||_inf without leaving the diagonals.
     abs_A = BandedSystem(sys.n, sys.offsets, np.abs(sys.diags))
     norm_A = float(banded_matvec(abs_A, np.ones(sys.n)).max())
-    sys.lu = _LU(work, work.generation, piv, norm_A)
+    fill = int((piv - np.arange(sys.n, dtype=piv.dtype)).max())
+    sys.lu = _LU(work, work.generation, piv, fill, norm_A)
     return back_solve(sys, rhs)
 
 
 def back_solve(sys: BandedSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs with the factorization ``solve_banded`` left on
     ``sys``, under the same residual check.  ``rhs`` is (n,) or (n, k).
+    One ``dgbtrs`` call makes both triangular sweeps; its U sweep reads only
+    the superdiagonals the factorization's fill can have made nonzero.
     Raises ConstraintError when ``sys`` has no factorization or its work
     array has been refactored since (a stale handle)."""
     if sys.lu is None:
         raise ConstraintError("back_solve needs a system factored by solve_banded")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != sys.n:
         raise ConstraintError(f"rhs shape {rhs.shape} does not match n={sys.n}")
+    # U's nonzero superdiagonals, at most u + fill, sit in the rows just above
+    # its diagonal: the band that starts l + u - k rows down holds them and
+    # L with kl = l, ku = k - l (k >= l keeps ku from going negative).
     lu = sys.lu
-    x, info = dgbtrs(lu.factors(sys.n), sys.l, sys.u, rhs, lu.piv)
+    k = max(sys.l, sys.u + lu.fill)
+    ab = lu.factors(sys.n, sys.l + sys.u - k)
+    x, info = dgbtrs(ab, sys.l, k - sys.l, rhs, lu.piv)
     if info != 0:
         raise ConstraintError(f"dgbtrs rejected argument {-info}")
     if not np.all(np.isfinite(x)):

@@ -784,6 +784,24 @@ def test_sweep_keeps_a_singular_row_in_the_table(gas, cfg, consts, opts64, monke
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
+def test_sweep_without_a_floor_solves_zeta_hat_once(gas, cfg, consts, opts64, monkeypatch):
+    # The zeta_star search solves zeta_hat cold; the ladder's last row is
+    # that flow, bitwise the row a second cold solve would give.
+    calls = []
+    solve_outlet = freebnd.solve_outlet
+
+    def recorded(zeta, *args, **kwargs):
+        calls.append(zeta)
+        return solve_outlet(zeta, *args, **kwargs)
+
+    monkeypatch.setattr(freebnd, "solve_outlet", recorded)
+    rows = js.sweep_zeta(4, cfg, gas, consts, opts64)
+    assert calls.count(consts.zeta_hat) == 1
+    assert rows[-1].zeta == consts.zeta_hat
+    monkeypatch.undo()
+    assert rows == [freebnd._sweep_row(r.zeta, cfg, gas, consts, opts64) for r in rows]
+
+
 def test_sweep_honours_every_solver_option(gas, cfg, consts, monkeypatch):
     # With no factorization allowed no free problem below zeta_hat is
     # solved, so those rows of the sweep fail as solve_outlet itself does

@@ -326,6 +326,19 @@ def _random_banded(rng, n, l, u):
     return numerics.BandedSystem(n, offsets, diags), rng.uniform(-1.0, 1.0, n)
 
 
+def _weak_banded(rng, n, l, u, far):
+    """A random system whose diagonal is weak against its first subdiagonal
+    (4x as large), with the subdiagonals beyond it scaled by ``far``, so
+    that dgbtrf swaps rows: a small ``far`` keeps the row shifts at 1, a
+    large one lets them reach l."""
+    sys, rhs = _random_banded(rng, n, l, u)
+    sys.diags[sys.offsets.index(0)] -= 4.0
+    sys.diags[sys.offsets.index(-1)] *= 4.0
+    for d in range(-l, -1):
+        sys.diags[sys.offsets.index(d)] *= far
+    return sys, rhs
+
+
 def _lapack_band(sys):
     """The (l + u + 1, n) LAPACK band storage scipy's solve_banded takes."""
     ab = np.zeros((sys.l + sys.u + 1, sys.n))
@@ -347,6 +360,18 @@ def test_solve_banded_matches_dense():
     sys, b = _random_banded(rng, 40, 3, 2)
     x = numerics.solve_banded(sys, b)
     assert np.max(np.abs(numerics.banded_matvec(sys, x) - b)) < 1e-12
+
+
+def test_banded_matvec_keeps_a_fortran_block_fortran_ordered():
+    # A solution block comes back from dgbtrs in Fortran order; its product
+    # keeps that layout and is, column by column, the 1-D product.
+    rng = np.random.default_rng(13)
+    sys, b = _random_banded(rng, 41, 3, 2)
+    x = np.asfortranarray(np.column_stack([b, rng.uniform(-1.0, 1.0, sys.n)]))
+    y = numerics.banded_matvec(sys, x)
+    assert y.flags.f_contiguous and y.shape == x.shape
+    for col in range(2):
+        assert np.array_equal(y[:, col], numerics.banded_matvec(sys, x[:, col]))
 
 
 @pytest.mark.parametrize("l, u", [(3, 2), (0, 3), (3, 0)])
@@ -492,6 +517,63 @@ def test_solve_banded_is_bitwise_scipy(l, u, k):
         ref = scipy.linalg.solve_banded((l, u), _lapack_band(sys), rhs)
         assert x.shape == ref.shape
         assert np.array_equal(x, ref)
+        # back_solve's shifted view of the factors reaches into column n.
+        assert numerics._work(l, u).array.shape[1] > n
+
+
+@pytest.mark.parametrize("l, u", [(3, 2), (4, 4), (2, 5), (4, 0)])
+@pytest.mark.parametrize("far, full", [(0.01, False), (4.0, True)])
+def test_pivoting_solves_are_bitwise_scipy(l, u, far, full):
+    # Systems that swap rows, with a fill s (largest row shift) of 0 < s < l
+    # or s = l: back_solve hands dgbtrs a band of u + s superdiagonals and
+    # still gets scipy's answer to the bit, on the first solve and on back-
+    # solves made after the work array held another factorization (of the
+    # other fill, whose U rows differ) of the same band.
+    rng = np.random.default_rng(10 * l + u + int(full))
+    for n in (60, 45):
+        other, b = _weak_banded(rng, n, l, u, 0.01 if full else 4.0)
+        numerics.solve_banded(other, b)
+        sys, b = _weak_banded(rng, n, l, u, far)
+        rhs = np.column_stack([b, rng.uniform(-1.0, 1.0, n)])
+        x = numerics.solve_banded(sys, rhs)
+        assert numerics._work(l, u).array.shape[1] > n
+        fill = sys.lu.fill
+        assert fill == l if full else 0 < fill < l
+        ab = _lapack_band(sys)
+        assert np.array_equal(x, scipy.linalg.solve_banded((l, u), ab, rhs))
+        numerics.solve_banded(other, b)
+        numerics.solve_banded(sys, b)
+        for rhs in (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 2))):
+            x = numerics.back_solve(sys, rhs)
+            assert np.array_equal(x, scipy.linalg.solve_banded((l, u), ab, rhs))
+
+
+def test_back_solve_hands_dgbtrs_the_work_array_itself():
+    # The band dgbtrs reads, shifted down past U's empty rows, is a
+    # Fortran-ordered view of the work array's buffer: no copy is made.
+    rng = np.random.default_rng(14)
+    seen = []
+    lapack = numerics.dgbtrs
+
+    def spy(ab, *args, **kwargs):
+        seen.append(ab)
+        return lapack(ab, *args, **kwargs)
+
+    l, u = 3, 4
+    for far, fill in ((None, 0), (0.01, 1), (4.0, l)):
+        if far is None:
+            sys, b = _random_banded(rng, 50, l, u)
+        else:
+            sys, b = _weak_banded(rng, 50, l, u, far)
+        with mock.patch.object(numerics, "dgbtrs", spy):
+            numerics.solve_banded(sys, b)
+        ab, work = seen.pop(), numerics._work(l, u).array
+        assert sys.lu.fill == fill
+        assert ab.flags.f_contiguous and ab.shape == (2 * l + u + 1, 50)
+        assert np.shares_memory(ab, work)
+        # It starts l - fill rows down: U's rows above u + fill are skipped.
+        skipped = ab.__array_interface__["data"][0] - work.__array_interface__["data"][0]
+        assert skipped == (l - fill) * ab.itemsize
 
 
 def test_back_solve_matches_a_fresh_solve():

@@ -12,6 +12,10 @@ per op:
 - the number of ``numerics.solve_banded`` (factorization) and
   ``numerics.back_solve`` calls the op made, and its cap shots: the
   ``solve_fixed`` calls at the outlet cap xi = R0 c_l without ``free_xi``;
+- its pivot census, read from each factorization's pivots: how many
+  factorizations swapped rows, and the largest fill s = max(piv[i] - i)
+  among them (0 when none swapped; ``numerics.back_solve``'s U sweep then
+  reads u + s superdiagonals, at least l, instead of l + u);
 - the workload's own output check (null when it passes).
 
 Run from the root of a source checkout; the solver and the workloads are
@@ -24,7 +28,8 @@ script records any checkout:
 
 ``--compare`` prints the verdict and check mismatches, the largest relative
 difference of each answer field, the ops whose counts (factorizations,
-back-solves or cap shots) differ, and the totals of each count.  It exits
+back-solves, cap shots or the pivot census) differ, and the totals of each
+count (for the fill, its largest value).  It exits
 1 on a verdict or check mismatch, else 0.  It is a report, not a test: 18
 classify-cold ops take ~3 s, 4 free-fine ops ~10 s.
 """
@@ -43,8 +48,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: The per-op counts, in output order.
-COUNTS = ("solve_banded", "back_solve", "cap_shots")
+#: The per-op counts, in output order, and how --compare labels their totals.
+COUNTS = {
+    "solve_banded": "factorizations",
+    "back_solve": "back-solves",
+    "cap_shots": "cap shots",
+    "swapped": "factorizations that swapped rows",
+    "fill": "largest fill",
+}
 
 #: Answer fields per workload, in output order.
 FIELDS = {
@@ -80,6 +91,7 @@ def record(name: str, seed: int, ops: int) -> dict:
     """Run the first ``ops`` ops of workload ``name`` at ``seed``."""
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
     import workloads
     from jetstream import fixedbvp, freebnd, numerics
 
@@ -94,6 +106,19 @@ def record(name: str, seed: int, ops: int) -> dict:
 
     for key in ("solve_banded", "back_solve"):
         setattr(numerics, key, counted(key, getattr(numerics, key)))
+    factor = numerics.solve_banded
+
+    def census(system, rhs):
+        try:
+            return factor(system, rhs)
+        finally:
+            if system.lu is not None:  # dgbtrf ran to the end
+                piv = system.lu.piv
+                fill = int((piv - np.arange(piv.size, dtype=piv.dtype)).max())
+                counts["swapped"] += fill > 0
+                counts["fill"] = max(counts["fill"], fill)
+
+    numerics.solve_banded = census
     solve_fixed = fixedbvp.solve_fixed
 
     def shot(zeta, xi, cfg, gas, consts, *args, **kwargs):
@@ -163,10 +188,13 @@ def compare(path_a: str, path_b: str) -> int:
           f"mismatches")
     for f, d in worst.items():
         print(f"  max relative difference of {f}: {d:.3g}")
-    for key, label in zip(COUNTS, ("factorizations", "back-solves", "cap shots")):
-        ta, tb = (sum(r["counts"][key] for r in ops)
+    for key, label in COUNTS.items():
+        ta, tb = ([r["counts"].get(key, 0) for r in ops]  # older records lack the census
                   for ops in (a["ops"][: len(rows)], b["ops"][: len(rows)]))
-        print(f"  {label} {ta} / {tb}")
+        if key == "fill":
+            print(f"  {label} {max(ta, default=0)} / {max(tb, default=0)}")
+        else:
+            print(f"  {label} {sum(ta)} / {sum(tb)}")
     return 1 if bad else 0
 
 
